@@ -1,0 +1,6 @@
+"""``python -m serreweights ...`` runs the command line interface."""
+
+from .io_cli import main
+
+if __name__ == "__main__":
+    main()

@@ -1,26 +1,50 @@
 """Exact arithmetic in F_{p^r} with a reproducible modulus convention.
 
-Elements are coefficient tuples (c_0, ..., c_{r-1}) over the prime field,
-representing c_0 + c_1 x + ... modulo the field's defining polynomial.  The
-polynomial is pinned deterministically: among monic degree-r polynomials,
-ordered by the base-p value sum_i c_i p^i of the non-leading coefficients,
-it is the first one that is irreducible and whose residue class of x
-generates the multiplicative group.  Discrete logs elsewhere in the package
-are always taken with respect to that class of x, so two runs (or two
-machines) agree on every reported exponent.
+An element c_0 + c_1 x + ... + c_{r-1} x^{r-1}, taken modulo the field's
+defining polynomial, is stored packed: a ``bytes`` object of r little-endian
+slots, slot i holding c_i in [0, p).  The zero element is all zero bytes, so
+``any(a)`` is False exactly for zero.  The polynomial is pinned
+deterministically: among monic degree-r polynomials, ordered by the base-p
+value sum_i c_i p^i of the non-leading coefficients, it is the first one
+that is irreducible and whose residue class of x generates the
+multiplicative group.  Discrete logs elsewhere in the package are always
+taken with respect to that class of x, so two runs (or two machines) agree
+on every reported exponent.
 
-Degrees are capped: the modulus search and the order checks factor
+Each slot is w bytes wide, w the least width with 256^w > r(p-1)^2 + p;
+the field derives it from p and r.  Read as integers, two elements are
+their polynomials evaluated at 256^w, so one native integer product is the
+polynomial product with every coefficient in its own slot (Kronecker
+substitution): a coefficient of the product is at most r(p-1)^2, and a
+coefficient of a folded product plus a reduced low half stays below
+(r-1)(p-1)^2 + p, so no slot ever carries into the next.  ``mul`` is that
+product, a per-slot reduction mod p (``bytes.translate`` with a 256-entry
+table when w = 1), and folding of the slots at x^r and above by
+x^r = t(x), the packed negated modulus tail, until none are left.
+``add``, ``sub`` and ``neg`` are one integer addition plus the same
+reduction, and ``inv`` is the extended Euclidean algorithm.  The modulus
+search raises x to powers through the same packed product, once per
+candidate modulus.  Degree 1 is
+plain integer arithmetic mod p in a single slot.
+
+There are no log or Zech tables: for the 2^18-element fields of the
+residue pairing a log/antilog pair would take about 19 MB, several times
+what the packed arithmetic needs in all.
+
+The degree is capped at ``_MAX_DEGREE``, a resource limit rather than a
+validity condition: the modulus search and the order checks factor
 p^r - 1 by trial division, which is meant for the small fields the residue
-pairing needs, not for cryptographic sizes.
+pairing needs, not for cryptographic sizes.  A larger degree raises
+``ResourceLimitExceeded``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimitExceeded
 
-Element = Tuple[int, ...]
+Element = bytes
 
 _MAX_DEGREE = 24
 
@@ -40,62 +64,131 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     return tuple(factors)
 
 
+def _slot_width(p: int, r: int) -> int:
+    """Least w with 256^w > r(p-1)^2 + p."""
+    return -(-(r * (p - 1) ** 2 + p).bit_length() // 8)
+
+
 class FiniteField:
-    """Calculator for F_{p^r}: construct once, then combine tuple elements."""
+    """Calculator for F_{p^r}: construct once, then combine packed elements."""
 
     def __init__(self, p: int, r: int):
         if r < 1:
             raise InvalidInput(f"extension degree must be >= 1, got {r}")
         if r > _MAX_DEGREE:
-            raise InvalidInput(
+            raise ResourceLimitExceeded(
                 f"extension degree {r} exceeds the supported cap {_MAX_DEGREE}"
             )
         self.p = p
         self.r = r
         self.order = p**r
-        self.zero: Element = (0,) * r
-        self.one: Element = (1,) + (0,) * (r - 1)
+        self.width = _slot_width(p, r)
+        self._size = r * self.width  # bytes per element
+        self._wide = (2 * r - 1) * self.width  # bytes per unreduced product
+        self._table = bytes(i % p for i in range(256))
+        if self.width == 1:
+            self._reduce = self._reduce_bytes
+        elif self.width * p < 256:
+            # byte j of a slot weighs 256^j mod p
+            self._position_tables = tuple(
+                bytes(i * 256**j % p for i in range(256)) for j in range(self.width)
+            )
+            self._reduce = self._reduce_positions
+        else:
+            self._reduce = self._reduce_slots
+        self._p_slots = self._pack([p] * r)  # p in every slot, for sub and neg
+        self.zero: Element = bytes(self._size)
+        self.one: Element = self.scalar(1)
         self.modulus = self._find_modulus()
-        # x^{r+i} mod the defining polynomial, for folding products down.
-        self._fold = self._reduction_table()
-        self.gen: Element = (0, 1) + (0,) * (r - 2) if r > 1 else (
-            (-self.modulus[0]) % p,
+        self._tail = self._pack([(-c) % p for c in self.modulus])
+        self.gen: Element = self._x(self.modulus)
+
+    # -- packing -----------------------------------------------------------
+
+    def _pack(self, coeffs) -> int:
+        """The packed integer sum_i c_i 256^{w i} of coefficients in [0, 256^w)."""
+        shift = 8 * self.width
+        return sum(c << (shift * i) for i, c in enumerate(coeffs))
+
+    def _reduce_bytes(self, n: int, length: int) -> bytes:
+        return n.to_bytes(length, "little").translate(self._table)
+
+    def _reduce_positions(self, n: int, length: int) -> bytes:
+        """Per-slot reduction for w p < 256: reduce every byte position of
+        the slots by its own table, add the positions as one-byte slots
+        (their sum stays below w p, so nothing carries), reduce once more."""
+        w = self.width
+        raw = n.to_bytes(length, "little")
+        total = 0
+        for j, table in enumerate(self._position_tables):
+            total += int.from_bytes(raw[j::w].translate(table), "little")
+        out = bytearray(length)
+        out[::w] = total.to_bytes(length // w, "little").translate(self._table)
+        return bytes(out)
+
+    def _reduce_slots(self, n: int, length: int) -> bytes:
+        p, w = self.p, self.width
+        raw = n.to_bytes(length, "little")
+        return b"".join(
+            (int.from_bytes(raw[i : i + w], "little") % p).to_bytes(w, "little")
+            for i in range(0, length, w)
         )
+
+    def _mulmod(self, n: int, tail: int) -> Element:
+        """Reduce the packed product n by the modulus with packed tail t."""
+        size, wide, reduce = self._size, self._wide, self._reduce
+        s = reduce(n, wide)
+        high = int.from_bytes(s[size:], "little")
+        while high:
+            s = reduce(int.from_bytes(s[:size], "little") + high * tail, wide)
+            high = int.from_bytes(s[size:], "little")
+        return s[:size]
+
+    def _powmod(self, a: Element, n: int, tail: int) -> Element:
+        """a^n for n >= 0, modulo the polynomial with packed tail t."""
+        if n == 0:
+            return self.one
+        base = int.from_bytes(a, "little")
+        acc = a
+        for bit in bin(n)[3:]:
+            x = int.from_bytes(acc, "little")
+            acc = self._mulmod(x * x, tail)
+            if bit == "1":
+                acc = self._mulmod(int.from_bytes(acc, "little") * base, tail)
+        return acc
+
+    def _x(self, modulus) -> Element:
+        """The residue class of x modulo x^r + sum c_i x^i."""
+        if self.r == 1:
+            return self.scalar(-modulus[0])
+        return (1 << (8 * self.width)).to_bytes(self._size, "little")
 
     # -- modulus search ----------------------------------------------------
 
     def _find_modulus(self) -> Tuple[int, ...]:
-        """Non-leading coefficients (c_0, ..., c_{r-1}) of the pinned polynomial."""
+        """Non-leading coefficients (c_0, ..., c_{r-1}) of the pinned polynomial.
+
+        A candidate m qualifies when x has multiplicative order exactly
+        p^r - 1 modulo m.  For irreducible m that says x generates the
+        multiplicative group; for reducible m it never holds, because
+        F_p[x]/(m) then has a nonzero non-unit and so fewer than p^r - 1
+        units.  The first qualifying candidate is therefore the first
+        irreducible one whose x is primitive.
+        """
         p, r = self.p, self.r
         unit_order = self.order - 1
-        order_primes = prime_factors(unit_order) if unit_order > 1 else ()
+        cofactors = [unit_order // ell for ell in prime_factors(unit_order)]
         for code in range(p**r):
-            coeffs = []
-            n = code
-            for _ in range(r):
-                n, c = divmod(n, p)
-                coeffs.append(c)
-            candidate = tuple(coeffs)
+            candidate = tuple(code // p**i % p for i in range(r))
             if candidate[0] == 0:
                 continue  # x would not be a unit
-            if not _is_irreducible(p, candidate):
-                continue
-            if _x_order_is_maximal(p, candidate, unit_order, order_primes):
+            tail = self._pack([(-c) % p for c in candidate])
+            x = self._x(candidate)
+            if self._powmod(x, unit_order, tail) == self.one and all(
+                self._powmod(x, n, tail) != self.one for n in cofactors
+            ):
                 return candidate
         raise AssertionError("primitive polynomials exist in every degree")
-
-    def _reduction_table(self) -> Tuple[Element, ...]:
-        p, r = self.p, self.r
-        table = []
-        current = tuple((-c) % p for c in self.modulus)  # x^r
-        for _ in range(r - 1):
-            table.append(current)
-            shifted = (0,) + current[:-1]
-            overflow = current[-1]
-            current = tuple(
-                (ci - overflow * mi) % p for ci, mi in zip(shifted, self.modulus)
-            )
-        return tuple(table)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -103,59 +196,56 @@ class FiniteField:
         cs = [c % self.p for c in coeffs]
         if len(cs) > self.r:
             raise InvalidInput(f"too many coefficients for degree {self.r}")
-        return tuple(cs + [0] * (self.r - len(cs)))
+        return self._pack(cs).to_bytes(self._size, "little")
+
+    def coefficients(self, a: Element) -> Tuple[int, ...]:
+        """The coefficients (c_0, ..., c_{r-1}) of a packed element."""
+        w = self.width
+        return tuple(
+            int.from_bytes(a[i : i + w], "little") for i in range(0, self._size, w)
+        )
 
     def scalar(self, c: int) -> Element:
-        return (c % self.p,) + (0,) * (self.r - 1)
+        return (c % self.p).to_bytes(self._size, "little")
 
     def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        n = int.from_bytes(a, "little") + int.from_bytes(b, "little")
+        return self._reduce(n, self._size)
 
     def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        n = int.from_bytes(a, "little") + self._p_slots - int.from_bytes(b, "little")
+        return self._reduce(n, self._size)
 
     def neg(self, a: Element) -> Element:
-        return tuple((-x) % self.p for x in a)
+        return self._reduce(self._p_slots - int.from_bytes(a, "little"), self._size)
 
     def mul(self, a: Element, b: Element) -> Element:
-        p, r = self.p, self.r
-        if r == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * r - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = conv[:r]
-        for i in range(r, 2 * r - 1):
-            c = conv[i] % p
-            if c:
-                fold = self._fold[i - r]
-                for j in range(r):
-                    out[j] += c * fold[j]
-        return tuple(c % p for c in out)
+        n = int.from_bytes(a, "little") * int.from_bytes(b, "little")
+        if self.r == 1:
+            return (n % self.p).to_bytes(self.width, "little")
+        return self._mulmod(n, self._tail)
 
     def pow(self, a: Element, n: int) -> Element:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        if self.r == 1:
+            c = pow(int.from_bytes(a, "little"), n, self.p)
+            return c.to_bytes(self.width, "little")
+        return self._powmod(a, n, self._tail)
 
     def inv(self, a: Element) -> Element:
-        if a == self.zero:
+        n = int.from_bytes(a, "little")
+        if not n:
             raise ZeroDivisionError("inverting 0 in a finite field")
-        return self.pow(a, self.order - 2)
+        p = self.p
+        if n >> (8 * self.width) == 0:  # a constant: invert in F_p
+            return pow(n, -1, p).to_bytes(self._size, "little")
+        return self.element(
+            _poly_inverse(p, list(self.modulus) + [1], list(self.coefficients(a)))
+        )
 
     def frobenius(self, a: Element, times: int = 1) -> Element:
-        for _ in range(times % self.r):
-            a = self.pow(a, self.p)
-        return a
+        return self.pow(a, self.p ** (times % self.r))
 
     def subfield_generator(self, s: int) -> Element:
         """A fixed generator of the F_{p^s} inside this field (s | r)."""
@@ -173,91 +263,40 @@ class FiniteField:
         return n
 
 
-# -- polynomial helpers for the modulus search ------------------------------
+# -- the extended Euclidean algorithm over F_p --------------------------------
 
 
-def _poly_mulmod(p: int, a, b, modulus) -> Tuple[int, ...]:
-    r = len(modulus)
-    conv = [0] * (2 * r - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] = (conv[i + j] + x * y) % p
-    for i in range(2 * r - 2, r - 1, -1):
-        c = conv[i]
-        if c:
-            conv[i] = 0
-            for j in range(r):
-                conv[i - r + j] = (conv[i - r + j] - c * modulus[j]) % p
-    return tuple(conv[:r])
+def _trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _poly_powmod(p: int, a, n: int, modulus) -> Tuple[int, ...]:
-    r = len(modulus)
-    result = (1,) + (0,) * (r - 1)
-    base = tuple(a)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(p, result, base, modulus)
-        base = _poly_mulmod(p, base, base, modulus)
-        n >>= 1
-    return result
+def _poly_inverse(p: int, modulus: List[int], b: List[int]) -> List[int]:
+    """t with t b = 1 modulo an irreducible modulus, for b nonzero modulo it.
 
-
-def _poly_gcd_is_one(p: int, a, b) -> bool:
-    """gcd over F_p of a (arbitrary) and b (the monic modulus, passed as list)."""
-    x = [c % p for c in a]
-    y = [c % p for c in b]
-    while any(y):
-        while x and x[-1] == 0:
-            x.pop()
-        while y and y[-1] == 0:
-            y.pop()
-        if not y:
-            break
-        if len(x) < len(y):
-            x, y = y, x
-            continue
-        lead = x[-1] * pow(y[-1], p - 2, p) % p
-        shift = len(x) - len(y)
-        for i, c in enumerate(y):
-            x[i + shift] = (x[i + shift] - lead * c) % p
-        while x and x[-1] == 0:
-            x.pop()
-        if len(x) < len(y):
-            x, y = y, x
-    return len(x) == 1
-
-
-def _is_irreducible(p: int, coeffs: Tuple[int, ...]) -> bool:
-    """Irreducibility of x^r + sum c_i x^i over F_p."""
-    r = len(coeffs)
-    if r == 1:
-        return True
-    x = (0, 1) + (0,) * (r - 2)
-    if _poly_powmod(p, x, p**r, coeffs) != x:
-        return False
-    for ell in prime_factors(r):
-        power = _poly_powmod(p, x, p ** (r // ell), coeffs)
-        diff = list(power)
-        diff[1] = (diff[1] - 1) % p
-        full = list(coeffs) + [1]
-        if not _poly_gcd_is_one(p, diff, full):
-            return False
-    return True
-
-
-def _x_order_is_maximal(
-    p: int, coeffs: Tuple[int, ...], unit_order: int, order_primes
-) -> bool:
-    r = len(coeffs)
-    if unit_order == 1:
-        return True
-    x = (0, 1) + (0,) * (r - 2) if r > 1 else ((-coeffs[0]) % p,)
-    one = (1,) + (0,) * (r - 1)
-    return all(
-        _poly_powmod(p, x, unit_order // ell, coeffs) != one for ell in order_primes
-    )
+    Polynomials are coefficient lists over F_p, lowest degree first, with
+    coefficients in [0, p); the lists passed in are consumed.
+    """
+    r0, r1 = _trim(modulus), _trim(b)
+    t0: List[int] = []
+    t1 = [1]
+    while r1:
+        # r0, t0 <- r0 - q r1, t0 - q t1 one quotient term at a time
+        lead = pow(r1[-1], -1, p)
+        t0 = t0 + [0] * max(0, len(r0) - len(r1) + len(t1) - len(t0))
+        while len(r0) >= len(r1):
+            c = r0[-1] * lead % p
+            shift = len(r0) - len(r1)
+            for i, y in enumerate(r1):
+                r0[i + shift] = (r0[i + shift] - c * y) % p
+            for i, y in enumerate(t1):
+                t0[i + shift] = (t0[i + shift] - c * y) % p
+            _trim(r0)
+        r0, r1 = r1, r0
+        t0, t1 = t1, _trim(t0)
+    lead = pow(r0[0], -1, p)  # r0 is the gcd, a nonzero constant
+    return [c * lead % p for c in t0]
 
 
 _FIELD_CACHE: Dict[Tuple[int, int], FiniteField] = {}

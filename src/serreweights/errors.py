@@ -7,9 +7,14 @@ unusable unramified-subextension degree); the CLI maps these to exit code 2.
 supposed to be a theorem failed at runtime; the CLI maps these to exit code 1
 and they should be reported, never silenced.
 
-``NoValidShift`` is neither: it signals the legitimate empty outcome where no
-digit-shift subset realizes the required inertial class, so the distinguished
-subspace is empty.  Callers treat it as a successful result.
+``ResourceLimitExceeded`` is a third outcome: the question is valid, but
+answering it needs more than a named resource limit allows (today the
+coefficient-field degree cap of the residue-pairing oracle); the CLI maps it
+to exit code 3.
+
+``NoValidShift`` is none of these: it signals the legitimate empty outcome
+where no digit-shift subset realizes the required inertial class, so the
+distinguished subspace is empty.  Callers treat it as a successful result.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ class NonUnitConstantTerm(InvalidInput):
 
 class TruncationInsufficient(InvalidInput):
     """A required coefficient lies beyond the series truncation degree."""
+
+
+class ResourceLimitExceeded(SerreWeightsError):
+    """A valid request needs more than a named resource limit allows."""
 
 
 class NoValidShift(SerreWeightsError):

@@ -8,7 +8,8 @@ sums) as decimal strings so consumers never round them.
 
 Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
-comparison fails; 2 for invalid input.
+comparison fails; 2 for invalid input; 3 when a valid request exceeds a
+resource limit (the oracle's coefficient-field degree cap).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     InvalidInput,
     InvariantError,
     NoValidShift,
+    ResourceLimitExceeded,
     SchemaError,
     SerreWeightsError,
 )
@@ -1005,6 +1007,9 @@ def run_command(argv: Sequence[str]) -> int:
     except InvalidInput as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
+    except ResourceLimitExceeded as exc:
+        sys.stderr.write(f"resource limit: {exc}\n")
+        return 3
     except SerreWeightsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ._gf import Element, FiniteField, field
@@ -555,9 +555,7 @@ def residue_trace_pairing(
 
 def mu_order(params: FieldParams, chi: CharacterData) -> int:
     """Multiplicative order of the unramified part's value on Frobenius."""
-    modulus = params.p**chi.unram.order_field_degree - 1
-    d = chi.unram.dlog % modulus if modulus > 1 else 0
-    return modulus // gcd(modulus, d) if d else 1
+    return chi.unram.order(params.p)
 
 
 def required_degree(params: FieldParams, chi: CharacterData) -> int:

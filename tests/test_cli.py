@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from serreweights import (
     parse_problem,
     run_command,
 )
+import serreweights
 import serreweights.io_cli as io_cli
 
 
@@ -128,6 +134,39 @@ def test_invalid_input_exits_2(capsys):
     assert run_command(["lv", "--p", "3", "--e", "2", "--f", "1", "--r", "2",
                         "--chi2-exps", "1", "--chi1-exps", "2", "--e-m", "3"]) == 2
     capsys.readouterr()
+
+
+# A valid oracle request whose unramified part has order 31 at f = 3: the
+# coefficient field would need degree lcm(3 * 31, 5) = 465.
+ORACLE_DEGREE_465 = ["oracle", "--p", "2", "--e", "1", "--f", "3", "--r", "1,1,1",
+                     "--chi1-exps", "0,0,0", "--chi2-exps", "0,0,0",
+                     "--chi1-unram", "5:1"]
+
+
+def test_resource_limit_exits_3(capsys):
+    start = time.perf_counter()
+    assert run_command(ORACLE_DEGREE_465) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "465" in err
+    assert run_command(ORACLE_DEGREE_465 + ["--fq-degree", "0"]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(serreweights.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "serreweights", "dims", "--p", "3", "--e", "1",
+         "--f", "2", "--chi-exps", "2,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["h1"] == 2
 
 
 def test_unknown_arguments_exit_2(capsys):

@@ -15,6 +15,7 @@ from serreweights import (
     char_quotient,
     character,
     j_v_ah,
+    j_v_ah_bruteforce,
     rederive_jvah,
     required_degree,
     ts_profile,
@@ -270,3 +271,25 @@ def test_rederive_trivial_quotient_keeps_unramified_direction_separate():
     got = rederive_jvah(params, prof, quot)
     assert got == j_v_ah(params, prof, quot, params.tame_order)
     assert sorted(str(l) for l in got) == ["alpha(2,0)"]
+
+
+@pytest.mark.parametrize(
+    "p, r, chi1_exps, unram, chi2_exps, degree",
+    [
+        (2, (2, 1, 2), (2, 1, 2), UnramifiedPart(2, 1), (1, 1, 1), 18),
+        (3, (3, 3, 1), (3, 3, 1), UnramifiedPart(2, 2), (2, 2, 2), 12),
+    ],
+    ids=["p2-degree18", "p3-degree12"],
+)
+def test_rederive_over_large_coefficient_fields(
+    p, r, chi1_exps, unram, chi2_exps, degree
+):
+    params = FieldParams(p, 1, 3)
+    chi1 = character(params, chi1_exps, unram=unram)
+    chi2 = character(params, chi2_exps)
+    prof = ts_profile(params, r, chi1, chi2)
+    quot = char_quotient(params, chi1, chi2)
+    assert required_degree(params, quot) == degree
+    got = rederive_jvah(params, prof, quot)
+    assert got == j_v_ah(params, prof, quot) == j_v_ah_bruteforce(params, prof, quot)
+    assert len(got) == 3
