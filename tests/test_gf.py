@@ -8,12 +8,13 @@ import gf_reference
 from serreweights import InternalInvariantViolation, InvalidInput, ResourceLimitExceeded
 from serreweights._gf import _MAX_DEGREE, FiniteField, field
 
-# r = 1, one-byte slots up to degree 24, two-byte slots reduced byte
-# position by byte position (p = 7, 11, 13, 17), and three-byte slots
-# reduced one slot at a time (p = 257).
+# r = 1, one-byte slots up to degree 24, two-byte slots (p = 5, 7, 11,
+# 13, 17) and three-byte slots (p = 257).  A product coefficient can reach
+# 252 in (7, 7), the most one byte holds here, and 256 in (5, 16), the
+# least that needs two.
 GRID = [
     (2, 1), (13, 1), (101, 1), (2, 4), (2, 18), (2, 24), (3, 8), (3, 12),
-    (5, 6), (7, 8), (11, 4), (13, 2), (17, 3), (257, 2),
+    (5, 6), (5, 16), (7, 7), (7, 8), (11, 4), (13, 2), (17, 3), (257, 2),
 ]
 
 # Non-leading coefficients (c_0, ..., c_{r-1}) of the pinned moduli; the
@@ -64,7 +65,11 @@ def test_modulus_search_matches_reference(p, r_max):
 
 def test_ring_operations_match_reference(pair):
     fq, ref = pair
-    samples = _samples(fq, 40)
+    # top = (p-1)(1 + x + ... + x^{r-1}): top * top fills the middle slot of
+    # the product with r(p-1)^2 and top - 0 fills every slot with 2p-1
+    # before reduction, the largest values the slot width has to hold.
+    top = [fq.p - 1] * fq.r
+    samples = _samples(fq, 40) + [top, top, [0] * fq.r]
     co = fq.coefficients
     for a, b in zip(samples, samples[1:] + samples[:1]):
         x, y = fq.element(a), fq.element(b)
@@ -118,13 +123,17 @@ def test_zero_is_the_only_falsy_element(pair):
 
 
 @pytest.mark.parametrize(
-    "p, r, width", [(2, 24, 1), (3, 12, 1), (5, 6, 1), (7, 6, 1), (7, 8, 2),
-                    (101, 1, 2), (101, 2, 2), (257, 2, 3), (1000003, 1, 5)],
+    "p, r, width", [(2, 1, 1), (3, 1, 1), (2, 24, 1), (3, 12, 1), (5, 6, 1),
+                    (7, 6, 1), (7, 7, 1), (5, 16, 2), (7, 8, 2), (101, 1, 2), (101, 2, 2),
+                    (257, 2, 3), (1000003, 1, 5)],
 )
 def test_slot_width_is_the_least_that_cannot_carry(p, r, width):
+    # The largest slot value is r(p-1)^2 (a product) or 2p-1 (a difference),
+    # both reached, so no narrower slot is safe.
     fq = field(p, r)
     assert fq.width == width
-    assert 256**width > r * (p - 1) ** 2 + p >= 256 ** (width - 1)
+    largest = max(r * (p - 1) ** 2, 2 * p - 1)
+    assert 256**width > largest >= 256 ** (width - 1)
     assert len(fq.one) == r * width
 
 
