@@ -22,7 +22,8 @@ from .errors import InternalInvariantViolation, InvalidInput, InvariantError
 from .tame_chars import (
     CharacterData,
     FieldParams,
-    n_values,
+    _derived,
+    _matching_numerators,
     niveau,
     validate_character,
 )
@@ -60,8 +61,7 @@ def _interior_m_bound(params: FieldParams) -> int:
 
 
 def _matching_indices(params: FieldParams, chi: CharacterData, m: int) -> int:
-    n = n_values(params, chi.signature)
-    return sum(1 for ni in n if (m - ni) % params.tame_order == 0)
+    return _derived(params, chi.signature).counts.get(m % params.tame_order, 0)
 
 
 def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
@@ -89,12 +89,10 @@ def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
     entries = []
     if chi.declared_trivial:
         entries.append((Fraction(0), 1))
-    for m in range(1, _interior_m_bound(params)):
-        if m % params.p == 0:
-            continue
-        d = _matching_indices(params, chi, m)
-        if d:
-            entries.append((1 + Fraction(m, params.tame_order), d))
+    for m, d in _matching_numerators(
+        params, chi.signature, 0, _interior_m_bound(params)
+    ):
+        entries.append((1 + Fraction(m, params.tame_order), d))
     if chi.declared_cyclotomic:
         entries.append((1 + Fraction(params.e * params.p, params.p - 1), 1))
     profile = JumpProfile(tuple(entries), sum(d for _, d in entries))
@@ -121,8 +119,4 @@ def window_cardinality(params: FieldParams, chi: CharacterData, j: int) -> int:
         raise InvalidInput(f"window index must lie in [0, e), got {j}")
     lo = j * params.p * params.repunit
     hi = (j + 1) * params.p * params.repunit
-    return sum(
-        _matching_indices(params, chi, m)
-        for m in range(lo + 1, hi)
-        if m % params.p
-    )
+    return sum(d for _, d in _matching_numerators(params, chi.signature, lo, hi))

@@ -18,11 +18,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from multiprocessing import Pool
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import h1_dimension, jump_profile, window_cardinality
@@ -594,14 +595,24 @@ def _sweep_worker(spec: Tuple[int, int, int, int, Tuple[int, ...]]) -> Tuple[str
 _SWEEP_HEADER = ("p", "e", "f", "chi_sig", "r", "t", "s", "xi", "|J|", "sum|I|", "ok")
 
 
+def _worker_count(jobs: int) -> int:
+    """The --jobs value clamped to the CPU count; below 1 is invalid input."""
+    if jobs < 1:
+        raise InvalidInput(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def cmd_sweep(args) -> Tuple[Optional[dict], int]:
+    jobs = _worker_count(args.jobs)
     cells = _grid_cells(args.p_max, args.e_max, args.f_max)
     instances = [spec for cell in cells for spec in _cell_instances(cell)]
     if args.max_instances and len(instances) > args.max_instances:
         stride = -(-len(instances) // args.max_instances)
         instances = instances[::stride]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
             rows = pool.map(_sweep_worker, instances, chunksize=64)
     else:
         rows = [_sweep_worker(spec) for spec in instances]
@@ -712,9 +723,7 @@ def _pair_checks(spec, where: str) -> List[Tuple[str, str]]:
     labels = set(basis_labels(params, chi))
     if any(label not in labels for label in constructive):
         failures.append(("labels_within_basis", where))
-    gcd_n = q1
-    for ni in n_values(params, chi.signature):
-        gcd_n = _gcd(gcd_n, ni)
+    gcd_n = gcd(q1, *n_values(params, chi.signature))
     for e_m in _divisors(q1):
         if gcd_n % (q1 // e_m) == 0:
             if j_v_ah(params, profile, chi, e_m) != constructive:
@@ -762,12 +771,6 @@ def _verify_twist_instance(spec_and_theta) -> List[Tuple[str, str]]:
     return []
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> List[int]:
     out = []
     d = 1
@@ -810,6 +813,7 @@ def _verify_oracle_instance(spec_and_mu) -> List[Tuple[str, str]]:
 
 
 def cmd_verify(args) -> Tuple[dict, int]:
+    jobs = _worker_count(args.jobs)
     cells = _grid_cells(args.p_max, args.e_max, args.f_max)
     pair_instances = [spec for cell in cells for spec in _cell_instances(cell)]
     if args.max_instances and len(pair_instances) > args.max_instances:
@@ -828,8 +832,10 @@ def cmd_verify(args) -> Tuple[dict, int]:
                 for mu in _ORACLE_MUS[cell[0]]:
                     oracle_jobs.append((spec, mu))
     failures: List[Tuple[str, str]] = []
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
             for result in pool.map(_verify_character_cell, cells, chunksize=1):
                 failures.extend(result)
             for result in pool.map(_verify_pair_instance, pair_instances, chunksize=64):

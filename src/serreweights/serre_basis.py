@@ -30,6 +30,8 @@ from .errors import (
 from .tame_chars import (
     CharacterData,
     FieldParams,
+    _derived,
+    _matching_numerators,
     canonical_signature,
     char_quotient,
     is_unramified,
@@ -91,12 +93,8 @@ class BasisLabel:
 def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
     """All window integers congruent to some n_i, ascending; |W'| = e*f'."""
     validate_character(params, chi)
-    q1 = params.tame_order
-    residues = {ni % q1 for ni in n_values(params, chi.signature)}
     top = params.e * params.p * params.repunit
-    return tuple(
-        m for m in range(1, top) if m % params.p and m % q1 in residues
-    )
+    return tuple(m for m, _ in _matching_numerators(params, chi.signature, 0, top))
 
 
 def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, ...]:
@@ -116,16 +114,14 @@ def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, .
 def i_m_index(params: FieldParams, chi: CharacterData, m: int) -> int:
     """The unique i in [0, f') with m congruent to n_i modulo p^f - 1."""
     q1 = params.tame_order
-    n = n_values(params, chi.signature)
-    f_prime, _ = niveau(params, chi.signature)
-    matches = [i for i in range(f_prime) if (m - n[i]) % q1 == 0]
-    if not matches:
-        raise NoMatchingIndex(f"m = {m} matches no n_i of {chi.signature.a}")
-    if len(matches) > 1:
+    derived = _derived(params, chi.signature)
+    if not derived.distinct:
         raise InternalInvariantViolation(
-            f"n_0..n_{f_prime - 1} are not distinct mod {q1}"
+            f"n_0..n_{derived.niveau[0] - 1} are not distinct mod {q1}"
         )
-    return matches[0]
+    if m % q1 not in derived.index_of:
+        raise NoMatchingIndex(f"m = {m} matches no n_i of {chi.signature.a}")
+    return derived.index_of[m % q1]
 
 
 # ---------------------------------------------------------------------------

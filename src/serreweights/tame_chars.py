@@ -25,9 +25,11 @@ the power (p^L - 1)/(p^r - 1) of the degree-L generator.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInput, InvariantError
 
@@ -119,7 +121,6 @@ def exponent_class(params: FieldParams, exps: Tuple[int, ...]) -> int:
 
 def signature_class(params: FieldParams, sig: TameSignature) -> int:
     """Class modulo p^f - 1 of a digit signature (its 0-th twisted sum)."""
-    validate_signature(params, sig)
     return n_values(params, sig)[0] % params.tame_order
 
 
@@ -158,21 +159,65 @@ def n_values(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
     These lie in the window [R, p*R) with R the repunit, and p * n_i is
     congruent to n_{i+1} modulo p^f - 1.
     """
-    p, f = params.p, params.f
-    a = sig.a
-    return tuple(
-        sum(a[(i + j) % f] * p ** (f - j) for j in range(1, f + 1)) for i in range(f)
-    )
+    return _derived(params, sig).n
 
 
 def niveau(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
     """Rotation period f' of the signature and the quotient f'' = f/f'."""
+    return _derived(params, sig).niveau
+
+
+@dataclass(frozen=True, slots=True)
+class _Derived:
+    """What the signature determines, computed once per (params, signature).
+
+    ``index_of`` maps n_i mod (p^f - 1) to i for i in [0, f'); ``distinct``
+    records that those f' residues are pairwise distinct.  ``counts`` maps
+    each residue to the number of i in [0, f) with that residue.
+    """
+
+    n: Tuple[int, ...]
+    niveau: Tuple[int, int]
+    index_of: Dict[int, int]
+    distinct: bool
+    counts: Dict[int, int]
+
+
+@lru_cache(maxsize=64)
+def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
+    """The record of a valid signature; a miss validates it first."""
     validate_signature(params, sig)
-    f = params.f
-    for d in range(1, f + 1):
-        if f % d == 0 and sig.rotate(d) == sig:
-            return d, f // d
-    raise AssertionError("rotation by f always fixes the signature")
+    p, f, q1 = params.p, params.f, params.tame_order
+    a = sig.a
+    n = tuple(
+        sum(a[(i + j) % f] * p ** (f - j) for j in range(1, f + 1)) for i in range(f)
+    )
+    f_prime = next(d for d in range(1, f + 1) if f % d == 0 and sig.rotate(d) == sig)
+    index_of = {n[i] % q1: i for i in range(f_prime)}
+    distinct = len(index_of) == f_prime
+    counts = Counter(ni % q1 for ni in n)
+    return _Derived(n, (f_prime, f // f_prime), index_of, distinct, counts)
+
+
+def _matching_numerators(
+    params: FieldParams, sig: TameSignature, lo: int, hi: int
+) -> List[Tuple[int, int]]:
+    """Pairs (m, #{i in [0, f) : m = n_i mod p^f - 1}) with a nonzero count,
+    over lo < m < hi with p not dividing m, ascending in m.
+
+    Each residue class of the n_i is walked upward in steps of p^f - 1 from
+    its least member above ``lo`` (for residue 0 and lo = 0 that is p^f - 1),
+    so the work is the number of terms, not the length of the range.
+    """
+    p, q1 = params.p, params.tame_order
+    out = [
+        (m, count)
+        for residue, count in _derived(params, sig).counts.items()
+        for m in range(lo + 1 + (residue - lo - 1) % q1, hi, q1)
+        if m % p
+    ]
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------

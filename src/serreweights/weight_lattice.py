@@ -157,9 +157,9 @@ def shift_vector(params: FieldParams, i: int) -> Tuple[int, ...]:
     return tuple(v)
 
 
-def _allowed_entries(params: FieldParams, ri: int) -> FrozenSet[int]:
-    e = params.e
-    return frozenset(range(e)) | frozenset(range(ri, ri + e))
+def _admissible(e: int, ri: int, x: int) -> bool:
+    """Whether x lies in [0, e-1] union [r_i, r_i+e-1]."""
+    return 0 <= x < e or ri <= x < ri + e
 
 
 def candidate_set(
@@ -169,7 +169,8 @@ def candidate_set(
     _validate_r(params, weight_r)
     _validate_reduced(params, chi2_exps)
     target = exponent_class(params, chi2_exps)
-    pools = [sorted(_allowed_entries(params, ri)) for ri in weight_r]
+    e = params.e
+    pools = [[x for x in range(ri + e) if _admissible(e, ri, x)] for ri in weight_r]
     return tuple(
         cand
         for cand in product(*pools)
@@ -191,31 +192,38 @@ def minimal_shift_set(
 ) -> FrozenSet[int]:
     """The containment-least subset J with m + sum_{i in J} v_i admissible.
 
+    Adding v_i subtracts 1 in slot i and adds p in slot i+1, and never moves
+    the inertial class, so each of the 2^f subsets is tested entrywise
+    against [0, e-1] union [r_i, r_i+e-1] with no class computation.
+
     Raises NoValidShift when no subset works and MinimalityAmbiguous when no
     single valid subset is contained in all others.
     """
-    cands = set(candidate_set(params, weight_r, chi2_exps))
-    f = params.f
-    vectors = [shift_vector(params, i) for i in range(f)]
+    _validate_r(params, weight_r)
+    _validate_reduced(params, chi2_exps)
+    p, e, f = params.p, params.e, params.f
     valid = []
     for mask in range(1 << f):
-        shifted = list(chi2_exps)
-        for i in range(f):
-            if mask >> i & 1:
-                for j in range(f):
-                    shifted[j] += vectors[i][j]
-        if tuple(shifted) in cands:
-            valid.append(frozenset(i for i in range(f) if mask >> i & 1))
+        for i, (c, ri) in enumerate(zip(chi2_exps, weight_r)):
+            shifted = c - (mask >> i & 1) + p * (mask >> (i - 1) % f & 1)
+            if not _admissible(e, ri, shifted):
+                break
+        else:
+            valid.append(mask)
     if not valid:
         raise NoValidShift(
             f"no shift subset reaches the admissible set for r={weight_r}"
         )
-    least = min(valid, key=lambda J: (len(J), sorted(J)))
-    if any(not least <= J for J in valid):
+    # A least subset, if any, is the intersection of all valid ones.
+    least = valid[0]
+    for mask in valid:
+        least &= mask
+    if least not in valid:
+        subsets = sorted(sorted(i for i in range(f) if mask >> i & 1) for mask in valid)
         raise MinimalityAmbiguous(
-            f"valid shift subsets {sorted(map(sorted, valid))} have no least element"
+            f"valid shift subsets {subsets} have no least element"
         )
-    return least
+    return frozenset(i for i in range(f) if least >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +264,7 @@ def ts_profile(
     t = tuple(t)
     s = tuple(ri + e - 1 - ti for ri, ti in zip(weight_r, t))
     for i, (ri, ti, si) in enumerate(zip(weight_r, t, s)):
-        allowed = _allowed_entries(params, ri)
-        if ti not in allowed or si not in allowed:
+        if not (_admissible(e, ri, ti) and _admissible(e, ri, si)):
             raise InternalInvariantViolation(
                 f"t_{i}={ti}, s_{i}={si} escape [0,e-1] union [r,r+e-1] for r={ri}"
             )

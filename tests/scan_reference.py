@@ -1,0 +1,147 @@
+"""The scan versions of the closed-form hot path, kept as test oracles.
+
+The package enumerates the progressions m = n_i (mod p^f - 1) directly,
+reads n-values, niveau and the residue-to-index map from one cached record
+per signature, and finds the least shift subset by an entrywise test of the
+2^f masks.  The versions here are the ones that came before: every m in
+(0, e*p*R) is tested, n-values and niveau are recomputed from the digit
+signature on every call, and shifted tuples are looked up in the
+candidate product of ``candidate_set``.  Of the package they use only its
+data types, its exceptions, ``exponent_class`` and ``candidate_set``.
+"""
+
+from fractions import Fraction
+from itertools import product
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+
+from serreweights import (
+    CharacterData,
+    FieldParams,
+    InternalInvariantViolation,
+    MinimalityAmbiguous,
+    NoMatchingIndex,
+    NoValidShift,
+    TameSignature,
+    candidate_set,
+    exponent_class,
+)
+
+
+def n_values_scan(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
+    p, f = params.p, params.f
+    a = sig.a
+    return tuple(
+        sum(a[(i + j) % f] * p ** (f - j) for j in range(1, f + 1)) for i in range(f)
+    )
+
+
+def niveau_scan(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
+    f = params.f
+    for d in range(1, f + 1):
+        if f % d == 0 and sig.rotate(d) == sig:
+            return d, f // d
+    raise AssertionError("rotation by f always fixes the signature")
+
+
+def _matching_indices(n: Tuple[int, ...], q1: int, m: int) -> int:
+    return sum(1 for ni in n if (m - ni) % q1 == 0)
+
+
+def jump_entries_scan(
+    params: FieldParams, chi: CharacterData
+) -> Tuple[Tuple[Fraction, int], ...]:
+    """Every jump, testing each m in (0, e*p*R) that p does not divide."""
+    p, q1 = params.p, params.tame_order
+    n = n_values_scan(params, chi.signature)
+    entries = []
+    if chi.declared_trivial:
+        entries.append((Fraction(0), 1))
+    for m in range(1, params.e * p * params.repunit):
+        if m % p == 0:
+            continue
+        d = _matching_indices(n, q1, m)
+        if d:
+            entries.append((1 + Fraction(m, q1), d))
+    if chi.declared_cyclotomic:
+        entries.append((1 + Fraction(params.e * p, p - 1), 1))
+    return tuple(entries)
+
+
+def window_cardinality_scan(params: FieldParams, chi: CharacterData, j: int) -> int:
+    n = n_values_scan(params, chi.signature)
+    lo = j * params.p * params.repunit
+    hi = (j + 1) * params.p * params.repunit
+    return sum(
+        _matching_indices(n, params.tame_order, m)
+        for m in range(lo + 1, hi)
+        if m % params.p
+    )
+
+
+def w_prime_scan(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
+    q1 = params.tame_order
+    residues = {ni % q1 for ni in n_values_scan(params, chi.signature)}
+    top = params.e * params.p * params.repunit
+    return tuple(m for m in range(1, top) if m % params.p and m % q1 in residues)
+
+
+def i_m_index_scan(params: FieldParams, chi: CharacterData, m: int) -> int:
+    q1 = params.tame_order
+    n = n_values_scan(params, chi.signature)
+    f_prime, _ = niveau_scan(params, chi.signature)
+    matches = [i for i in range(f_prime) if (m - n[i]) % q1 == 0]
+    if not matches:
+        raise NoMatchingIndex(f"m = {m} matches no n_i of {chi.signature.a}")
+    if len(matches) > 1:
+        raise InternalInvariantViolation(
+            f"n_0..n_{f_prime - 1} are not distinct mod {q1}"
+        )
+    return matches[0]
+
+
+def candidates_by_class(
+    params: FieldParams, weight_r: Tuple[int, ...]
+) -> Dict[int, Set[Tuple[int, ...]]]:
+    """The product ``candidate_set`` filters, grouped by inertial class, so a
+    grid over every chi2 builds it once per r instead of once per (r, chi2)."""
+    e = params.e
+    pools = [sorted(set(range(e)) | set(range(ri, ri + e))) for ri in weight_r]
+    out: Dict[int, Set[Tuple[int, ...]]] = {}
+    for cand in product(*pools):
+        out.setdefault(exponent_class(params, cand), set()).add(cand)
+    return out
+
+
+def minimal_shift_set_scan(
+    params: FieldParams,
+    weight_r: Tuple[int, ...],
+    chi2_exps: Tuple[int, ...],
+    cands: Optional[Set[Tuple[int, ...]]] = None,
+) -> FrozenSet[int]:
+    """Membership of each shifted tuple in the class's candidate set.
+
+    ``cands`` defaults to ``candidate_set`` (which also validates the input);
+    a caller may pass the same set from ``candidates_by_class``.
+    """
+    if cands is None:
+        cands = set(candidate_set(params, weight_r, chi2_exps))
+    p, f = params.p, params.f
+    valid: List[FrozenSet[int]] = []
+    for mask in range(1 << f):
+        shifted = list(chi2_exps)
+        for i in range(f):
+            if mask >> i & 1:
+                shifted[i] -= 1
+                shifted[(i + 1) % f] += p
+        if tuple(shifted) in cands:
+            valid.append(frozenset(i for i in range(f) if mask >> i & 1))
+    if not valid:
+        raise NoValidShift(
+            f"no shift subset reaches the admissible set for r={weight_r}"
+        )
+    least = min(valid, key=lambda J: (len(J), sorted(J)))
+    if any(not least <= J for J in valid):
+        raise MinimalityAmbiguous(
+            f"valid shift subsets {sorted(map(sorted, valid))} have no least element"
+        )
+    return least

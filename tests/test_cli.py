@@ -153,20 +153,45 @@ def test_resource_limit_exits_3(capsys):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(args, timeout=60):
+    """A fresh interpreter that imports this checkout's package."""
     src = str(Path(serreweights.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    done = subprocess.run(
-        [sys.executable, "-m", "serreweights", "dims", "--p", "3", "--e", "1",
-         "--f", "2", "--chi-exps", "2,1"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable] + args, capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python(["-m", "serreweights", "dims", "--p", "3", "--e", "1",
+                       "--f", "2", "--chi-exps", "2,1"])
     assert done.returncode == 0
     assert done.stderr == ""
     assert json.loads(done.stdout)["h1"] == 2
+
+
+def test_import_loads_no_multiprocessing():
+    done = run_python(
+        ["-c", "import sys, serreweights; print('multiprocessing' in sys.modules)"]
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_dims_at_large_p_enumerates_the_progressions():
+    """Every m below e p (p^f - 1)/(p - 1) is about 10^8 values here; only
+    the terms of the n_i progressions are visited."""
+    done = run_python(["-m", "serreweights", "dims", "--p", "10007", "--e", "1",
+                       "--f", "2", "--chi-exps=5,0"])
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["h1"] == 2
+    assert [jump["dim"] for jump in doc["jump_profile"]] == [1, 1]
+    assert doc["windows"] == [2]
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -347,3 +372,34 @@ def test_verify_reports_mutations(capsys, monkeypatch):
     by_name = {prop["name"]: prop for prop in doc["properties"]}
     assert by_name["xi_congruence"]["failures"] > 0
     assert by_name["xi_congruence"]["first_counterexample"]
+
+
+GRID_FLAGS = ["--p-max", "2", "--e-max", "1", "--f-max", "1"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_invalid_input(capsys, command, jobs):
+    assert run_command([command] + GRID_FLAGS + ["--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(io_cli.os, "cpu_count", lambda: 3)
+    assert [io_cli._worker_count(j) for j in (1, 2, 3, 4, 10**6)] == [1, 2, 3, 3, 3]
+    monkeypatch.setattr(io_cli.os, "cpu_count", lambda: None)
+    assert io_cli._worker_count(8) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_jobs_above_cpu_count_start_no_pool_on_one_cpu(capsys, monkeypatch, command):
+    """On one CPU a large --jobs clamps to 1, which runs in this process."""
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(io_cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert run_command([command] + GRID_FLAGS + ["--jobs", "64"]) == 0
+    capsys.readouterr()
