@@ -10,21 +10,21 @@ Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
 comparison fails; 2 for invalid input; 3 when a valid request exceeds a
 resource limit (the oracle's coefficient-field degree cap).
+
+``argparse``, ``json``, ``csv`` and ``multiprocessing`` are imported where
+used, so importing the library loads none of them.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .cohomology import h1_dimension, jump_profile, window_cardinality
 from .errors import (
@@ -49,7 +49,6 @@ from .tame_chars import (
     CharacterData,
     FieldParams,
     UnramifiedPart,
-    canonical_signature,
     char_quotient,
     character,
     cyclotomic_inertia_signature,
@@ -60,13 +59,16 @@ from .tame_chars import (
 )
 from .weight_lattice import (
     SerreWeight,
-    minimal_shift_set,
+    _admissible,
     reduced_exponents,
     ts_profile,
     twist_normalize,
     validate_weight,
     weight_from_r,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 # ---------------------------------------------------------------------------
 # Problem documents
@@ -93,28 +95,33 @@ def _node(doc: dict, key: str, path: str, required: bool = True):
     return doc[key]
 
 
-def _int_at(doc: dict, key: str, path: str, required: bool = True) -> Optional[int]:
-    value = _node(doc, key, path, required)
-    if value is None:
-        return None
+def _as_int(value, where: str) -> int:
+    """An integer or a decimal string; anything else is a schema error."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise SchemaError(f"expected an integer at {path}.{key}")
+        raise SchemaError(f"expected an integer at {where}")
     try:
         return int(value)
     except ValueError:
-        raise SchemaError(f"expected an integer at {path}.{key}")
+        raise SchemaError(f"expected an integer at {where}")
+
+
+def _int_at(doc: dict, key: str, path: str, required: bool = True) -> Optional[int]:
+    value = _node(doc, key, path, required)
+    return None if value is None else _as_int(value, f"{path}.{key}")
+
+
+def _bool_at(doc: dict, key: str, path: str) -> Optional[bool]:
+    value = _node(doc, key, path, required=False)
+    if value is not None and not isinstance(value, bool):
+        raise SchemaError(f"expected a boolean at {path}.{key}")
+    return value
 
 
 def _int_list_at(doc: dict, key: str, path: str) -> Tuple[int, ...]:
     value = _node(doc, key, path)
     if not isinstance(value, list):
         raise SchemaError(f"expected a list of integers at {path}.{key}")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise SchemaError(f"expected an integer at {path}.{key}[{i}]")
-        out.append(int(item))
-    return tuple(out)
+    return tuple(_as_int(item, f"{path}.{key}[{i}]") for i, item in enumerate(value))
 
 
 def _parse_unram(node, path: str) -> UnramifiedPart:
@@ -132,18 +139,11 @@ def _parse_character(params: FieldParams, node, path: str) -> CharacterData:
         raise SchemaError(f"expected an object at {path}")
     exps = _int_list_at(node, "exps", path)
     unram = _parse_unram(node.get("unram"), f"{path}.unram")
-    cyclotomic = node.get("cyclotomic")
-    if cyclotomic is not None and not isinstance(cyclotomic, bool):
-        raise SchemaError(f"expected a boolean at {path}.cyclotomic")
+    cyclotomic = _bool_at(node, "cyclotomic", path)
     chi = character(params, exps, unram=unram, cyclotomic=cyclotomic)
-    declared = node.get("trivial")
-    if declared is not None:
-        if not isinstance(declared, bool):
-            raise SchemaError(f"expected a boolean at {path}.trivial")
-        if declared != chi.declared_trivial:
-            raise InvalidInput(
-                f"{path}.trivial = {declared} contradicts the character data"
-            )
+    declared = _bool_at(node, "trivial", path)
+    if declared is not None and declared != chi.declared_trivial:
+        raise InvalidInput(f"{path}.trivial = {declared} contradicts the character data")
     return chi
 
 
@@ -184,9 +184,7 @@ def parse_problem(doc: dict) -> Problem:
             raise SchemaError("expected an object at .oracle")
         fq_degree = _int_at(oracle_node, "fq_degree", ".oracle", required=False)
         trunc = _int_at(oracle_node, "trunc", ".oracle", required=False)
-    chi_cyclotomic = doc.get("chi_cyclotomic")
-    if chi_cyclotomic is not None and not isinstance(chi_cyclotomic, bool):
-        raise SchemaError("expected a boolean at .chi_cyclotomic")
+    chi_cyclotomic = _bool_at(doc, "chi_cyclotomic", "")
     return Problem(params, weight, chi1, chi2, e_m, fq_degree, trunc, chi_cyclotomic)
 
 
@@ -209,6 +207,10 @@ def _label_dict(label: BasisLabel) -> dict:
     return {"kind": label.kind}
 
 
+def _sorted_labels(labels) -> List[dict]:
+    return [_label_dict(label) for label in sorted(labels, key=BasisLabel.sort_key)]
+
+
 def _char_dict(params: FieldParams, chi: CharacterData) -> dict:
     return {
         "signature": list(chi.signature.a),
@@ -220,6 +222,10 @@ def _char_dict(params: FieldParams, chi: CharacterData) -> dict:
         "trivial": chi.declared_trivial,
         "cyclotomic": chi.declared_cyclotomic,
     }
+
+
+def _report_head(command: str, params: FieldParams) -> dict:
+    return {"command": command, "params": {"p": params.p, "e": params.e, "f": params.f}}
 
 
 def _flatten(prefix: str, value, lines: List[str]) -> None:
@@ -236,20 +242,28 @@ def _flatten(prefix: str, value, lines: List[str]) -> None:
         lines.append(f"{prefix}: {value}")
 
 
+def _write(text: str, out_path: Optional[str]) -> None:
+    """Write to ``out_path``, or to stdout without one; unwritable is invalid input."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
 def _emit(report: dict, fmt: str, out_path: Optional[str]) -> None:
     if fmt == "json":
+        import json
+
         text = json.dumps(report, indent=2) + "\n"
-    elif fmt == "text":
+    else:
         lines: List[str] = []
         _flatten("", report, lines)
         text = "\n".join(lines) + "\n"
-    else:
-        raise InvalidInput(f"format {fmt!r} is not available for this command")
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +281,11 @@ def _parse_int_tuple(text: str, what: str) -> Tuple[int, ...]:
 def _parse_unram_flag(text: Optional[str]) -> UnramifiedPart:
     if text is None:
         return UnramifiedPart()
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InvalidInput(f"unramified part must be DEGREE:DLOG, got {text!r}")
     try:
-        return UnramifiedPart(int(parts[0]), int(parts[1]))
+        degree, dlog = text.split(":")
+        return UnramifiedPart(int(degree), int(dlog))
     except ValueError:
         raise InvalidInput(f"unramified part must be DEGREE:DLOG, got {text!r}")
-
-
-def _params_from_args(args) -> FieldParams:
-    return FieldParams(args.p, args.e, args.f)
 
 
 def _char_from_flags(
@@ -296,12 +304,12 @@ def _char_from_flags(
 
 
 def _weight_from_args(params: FieldParams, args) -> SerreWeight:
-    if getattr(args, "r", None) is not None:
+    if args.r is not None:
         return weight_from_r(params, _parse_int_tuple(args.r, "--r"))
-    if getattr(args, "eta", None) is None:
+    if args.eta is None:
         raise InvalidInput("provide either --r or --eta (with optional --theta)")
     eta = _parse_int_tuple(args.eta, "--eta")
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         theta = _parse_int_tuple(args.theta, "--theta")
     else:
         theta = (0,) * params.f
@@ -311,7 +319,9 @@ def _weight_from_args(params: FieldParams, args) -> SerreWeight:
 
 
 def _pair_problem_from_args(args) -> Problem:
-    if getattr(args, "problem", None):
+    if args.problem:
+        import json
+
         try:
             if args.problem == "-":
                 doc = json.load(sys.stdin)
@@ -323,22 +333,21 @@ def _pair_problem_from_args(args) -> Problem:
         except OSError as exc:
             raise SchemaError(f"cannot read problem document: {exc}") from exc
         return parse_problem(doc)
-    params = _params_from_args(args)
+    params = FieldParams(args.p, args.e, args.f)
     weight = _weight_from_args(params, args)
     chi1 = _char_from_flags(params, args.chi1_exps, args.chi1_unram, None, "chi1")
     chi2 = _char_from_flags(params, args.chi2_exps, args.chi2_unram, None, "chi2")
-    if getattr(args, "chi2_unramified", False):
-        if signature_class(params, chi2.signature) % params.tame_order:
-            raise InvalidInput("--chi2-unramified contradicts the chi2 exponents")
+    if args.chi2_unramified and signature_class(params, chi2.signature) % params.tame_order:
+        raise InvalidInput("--chi2-unramified contradicts the chi2 exponents")
     return Problem(
         params,
         weight,
         chi1,
         chi2,
-        e_m=getattr(args, "e_m", None),
+        e_m=args.e_m,
         fq_degree=getattr(args, "fq_degree", None),
         trunc=getattr(args, "trunc", None),
-        chi_cyclotomic=True if getattr(args, "chi_cyclotomic", False) else None,
+        chi_cyclotomic=True if args.chi_cyclotomic else None,
     )
 
 
@@ -347,58 +356,67 @@ def _pair_problem_from_args(args) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dims(args) -> Tuple[dict, int]:
-    params = _params_from_args(args)
-    chi = _char_from_flags(
-        params,
-        args.chi_exps,
-        args.chi_unram,
-        True if args.chi_cyclotomic else None,
-        "chi",
-    )
+def _char_command(args, command: str) -> Tuple[dict, FieldParams, CharacterData]:
+    """The report head of ``dims`` and ``basis``: one character from the flags."""
+    params = FieldParams(args.p, args.e, args.f)
+    cyclotomic = True if args.chi_cyclotomic else None
+    chi = _char_from_flags(params, args.chi_exps, args.chi_unram, cyclotomic, "chi")
     if args.chi_trivial and not chi.declared_trivial:
         raise InvalidInput("--chi-trivial contradicts the character data")
+    return {**_report_head(command, params), "chi": _char_dict(params, chi)}, params, chi
+
+
+def cmd_dims(args) -> Tuple[dict, int]:
+    report, params, chi = _char_command(args, "dims")
     profile = jump_profile(params, chi)
-    report = {
-        "command": "dims",
-        "params": {"p": params.p, "e": params.e, "f": params.f},
-        "chi": _char_dict(params, chi),
-        "h1": profile.total,
-        "jump_profile": [
-            {"s": _frac(s), "dim": d} for s, d in profile.entries
-        ],
-        "windows": [window_cardinality(params, chi, j) for j in range(params.e)],
-        "status": "ok",
-    }
+    report.update(
+        {
+            "h1": profile.total,
+            "jump_profile": [{"s": _frac(s), "dim": d} for s, d in profile.entries],
+            "windows": [window_cardinality(params, chi, j) for j in range(params.e)],
+            "status": "ok",
+        }
+    )
     return report, 0
 
 
 def cmd_basis(args) -> Tuple[dict, int]:
-    params = _params_from_args(args)
-    chi = _char_from_flags(
-        params,
-        args.chi_exps,
-        args.chi_unram,
-        True if args.chi_cyclotomic else None,
-        "chi",
-    )
-    if args.chi_trivial and not chi.declared_trivial:
-        raise InvalidInput("--chi-trivial contradicts the character data")
+    report, params, chi = _char_command(args, "basis")
     f_prime, f_dprime = niveau(params, chi.signature)
-    report = {
-        "command": "basis",
-        "params": {"p": params.p, "e": params.e, "f": params.f},
-        "chi": _char_dict(params, chi),
-        "n_values": _ints(n_values(params, chi.signature)),
-        "niveau": f_prime,
-        "w_prime": _ints(w_prime(params, chi)),
-        "labels": [_label_dict(lbl) for lbl in basis_labels(params, chi)],
-        "status": "ok",
-    }
+    report.update(
+        {
+            "n_values": _ints(n_values(params, chi.signature)),
+            "niveau": f_prime,
+            "w_prime": _ints(w_prime(params, chi)),
+            "labels": [_label_dict(lbl) for lbl in basis_labels(params, chi)],
+            "status": "ok",
+        }
+    )
     return report, 0
 
 
-def _profile_payload(params: FieldParams, problem: Problem) -> Tuple[dict, object]:
+def _pair_command(args, command: str, fields) -> Tuple[dict, int]:
+    """``profile``, ``lv`` and ``oracle``: one problem, ``fields(problem)``
+    after the report head, and the lv_empty report when no shift subset
+    exists (a success)."""
+    problem = _pair_problem_from_args(args)
+    report = _report_head(command, problem.params)
+    try:
+        body, code = fields(problem)
+    except NoValidShift as exc:
+        if command == "lv":
+            body = {"detail": f"L_V empty: no labels ({exc})", "labels": [], "dimension": 0}
+        else:
+            body = {"detail": str(exc)}
+        body["status"] = "lv_empty"
+        code = 0
+    report.update(body)
+    return report, code
+
+
+def _profile_payload(problem: Problem) -> Tuple[dict, object, CharacterData]:
+    """The profile fields of a problem, with its profile and quotient character."""
+    params = problem.params
     normalized, c1, c2 = twist_normalize(
         params, problem.weight, problem.chi1, problem.chi2
     )
@@ -416,81 +434,39 @@ def _profile_payload(params: FieldParams, problem: Problem) -> Tuple[dict, objec
         "xi": _ints(profile.xi),
         "n_values": _ints(n_values(params, chi.signature)),
     }
-    return payload, (profile, chi, c1, c2, r)
+    return payload, profile, chi
 
 
-def cmd_profile(args) -> Tuple[dict, int]:
-    problem = _pair_problem_from_args(args)
-    params = problem.params
-    report = {
-        "command": "profile",
-        "params": {"p": params.p, "e": params.e, "f": params.f},
-    }
-    try:
-        payload, _ = _profile_payload(params, problem)
-    except NoValidShift as exc:
-        report.update({"detail": str(exc), "status": "lv_empty"})
-        return report, 0
-    report.update(payload)
-    report["status"] = "ok"
-    return report, 0
+def _profile_fields(problem: Problem) -> Tuple[dict, int]:
+    payload, _, _ = _profile_payload(problem)
+    return {**payload, "status": "ok"}, 0
 
 
-def cmd_lv(args) -> Tuple[dict, int]:
-    problem = _pair_problem_from_args(args)
-    params = problem.params
-    report = {
-        "command": "lv",
-        "params": {"p": params.p, "e": params.e, "f": params.f},
-    }
-    try:
-        result = l_v_ah(
-            params,
-            problem.weight,
-            problem.chi1,
-            problem.chi2,
-            e_m=problem.e_m,
-            chi_cyclotomic=problem.chi_cyclotomic,
-        )
-    except NoValidShift as exc:
-        report.update(
-            {
-                "detail": f"L_V empty: no labels ({exc})",
-                "labels": [],
-                "dimension": 0,
-                "status": "lv_empty",
-            }
-        )
-        return report, 0
-    report.update(
-        {
-            "exceptional": result.exceptional,
-            "labels": [_label_dict(lbl) for lbl in result.labels],
-            "dimension": result.dimension,
-            "e_m": str(result.e_m),
-            "status": "ok",
-        }
+def _lv_fields(problem: Problem) -> Tuple[dict, int]:
+    result = l_v_ah(
+        problem.params,
+        problem.weight,
+        problem.chi1,
+        problem.chi2,
+        e_m=problem.e_m,
+        chi_cyclotomic=problem.chi_cyclotomic,
     )
-    if result.extra_degree is not None:
-        report["extra_degree_index"] = result.extra_degree_index
-        report["extra_degree"] = str(result.extra_degree)
-    return report, 0
-
-
-def cmd_oracle(args) -> Tuple[dict, int]:
-    problem = _pair_problem_from_args(args)
-    params = problem.params
-    report = {
-        "command": "oracle",
-        "params": {"p": params.p, "e": params.e, "f": params.f},
+    body = {
+        "exceptional": result.exceptional,
+        "labels": [_label_dict(lbl) for lbl in result.labels],
+        "dimension": result.dimension,
+        "e_m": str(result.e_m),
+        "status": "ok",
     }
-    try:
-        payload, extras = _profile_payload(params, problem)
-    except NoValidShift as exc:
-        report.update({"detail": str(exc), "status": "lv_empty"})
-        return report, 0
-    profile, chi = extras[0], extras[1]
-    report.update(payload)
+    if result.extra_degree is not None:
+        body["extra_degree_index"] = result.extra_degree_index
+        body["extra_degree"] = str(result.extra_degree)
+    return body, 0
+
+
+def _oracle_fields(problem: Problem) -> Tuple[dict, int]:
+    params = problem.params
+    payload, profile, chi = _profile_payload(problem)
     constructive = j_v_ah(params, profile, chi, problem.e_m)
     bruteforce = j_v_ah_bruteforce(params, profile, chi, problem.e_m)
     oracle = rederive_jvah(
@@ -502,22 +478,27 @@ def cmd_oracle(args) -> Tuple[dict, int]:
         trunc=problem.trunc,
     )
     agree = constructive == bruteforce == oracle
-    report.update(
-        {
-            "j_constructive": [
-                _label_dict(l) for l in sorted(constructive, key=BasisLabel.sort_key)
-            ],
-            "j_bruteforce": [
-                _label_dict(l) for l in sorted(bruteforce, key=BasisLabel.sort_key)
-            ],
-            "j_oracle": [
-                _label_dict(l) for l in sorted(oracle, key=BasisLabel.sort_key)
-            ],
-            "agree": agree,
-            "status": "ok" if agree else "oracle_mismatch",
-        }
-    )
-    return report, 0 if agree else 1
+    body = {
+        **payload,
+        "j_constructive": _sorted_labels(constructive),
+        "j_bruteforce": _sorted_labels(bruteforce),
+        "j_oracle": _sorted_labels(oracle),
+        "agree": agree,
+        "status": "ok" if agree else "oracle_mismatch",
+    }
+    return body, 0 if agree else 1
+
+
+def cmd_profile(args) -> Tuple[dict, int]:
+    return _pair_command(args, "profile", _profile_fields)
+
+
+def cmd_lv(args) -> Tuple[dict, int]:
+    return _pair_command(args, "lv", _lv_fields)
+
+
+def cmd_oracle(args) -> Tuple[dict, int]:
+    return _pair_command(args, "oracle", _oracle_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +506,9 @@ def cmd_oracle(args) -> Tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
+
+# A grid point: p, e, f, the class of chi2 and the normalized weight r.
+GridSpec = Tuple[int, int, int, int, Tuple[int, ...]]
 
 
 def _grid_cells(p_max: int, e_max: int, f_max: int) -> List[Tuple[int, int, int]]:
@@ -537,7 +521,7 @@ def _grid_cells(p_max: int, e_max: int, f_max: int) -> List[Tuple[int, int, int]
     ]
 
 
-def _cell_instances(cell: Tuple[int, int, int]) -> List[Tuple[int, int, int, int, Tuple[int, ...]]]:
+def _cell_instances(cell: Tuple[int, int, int]) -> List[GridSpec]:
     p, e, f = cell
     params = FieldParams(p, e, f)
     return [
@@ -547,52 +531,41 @@ def _cell_instances(cell: Tuple[int, int, int]) -> List[Tuple[int, int, int, int
     ]
 
 
-def _build_instance(spec: Tuple[int, int, int, int, Tuple[int, ...]]):
-    """Params, consistent character pair, and normalized r for a grid point."""
+def _grid(args) -> Tuple[List[Tuple[int, int, int]], List[GridSpec]]:
+    """The cells of --p-max/--e-max/--f-max and their grid points, of which
+    every stride-th is kept beyond --max-instances (0: no limit)."""
+    if args.max_instances < 0:
+        raise InvalidInput(f"--max-instances must be >= 0, got {args.max_instances}")
+    cells = _grid_cells(args.p_max, args.e_max, args.f_max)
+    specs = [spec for cell in cells for spec in _cell_instances(cell)]
+    if args.max_instances and len(specs) > args.max_instances:
+        stride = -(-len(specs) // args.max_instances)
+        specs = specs[::stride]
+    return cells, specs
+
+
+def _grid_pair(
+    spec: GridSpec, unram: UnramifiedPart = UnramifiedPart()
+) -> Tuple[FieldParams, CharacterData, CharacterData]:
+    """Params and the character pair of a grid point, chi1 carrying ``unram``.
+
+    The shift vectors keep chi2's class, so t lies in it, and
+    s - t = (r + e - 1) - 2t puts chi1 = (chi1/chi2) * chi2 in the class of
+    r + e - 1 less the class of chi2, whether or not a shift subset exists.
+    """
     p, e, f, chi2_class, r = spec
     params = FieldParams(p, e, f)
-    chi2 = character(params, (chi2_class,) + (0,) * (f - 1))
-    m = reduced_exponents(params, chi2)
-    j_min = minimal_shift_set(params, r, m)  # may raise NoValidShift
-    t = list(m)
-    for i in j_min:
-        t[i] -= 1
-        t[(i + 1) % f] += p
-    s = tuple(ri + e - 1 - ti for ri, ti in zip(r, t))
-    diff_class = sum(
-        (si - ti) * pow(p, (f - i) % f, params.tame_order)
-        for i, (si, ti) in enumerate(zip(s, t))
-    )
-    chi1 = character(params, (chi2_class + diff_class,) + (0,) * (f - 1))
-    return params, chi1, chi2
+    zeros = (0,) * (f - 1)
+    chi1_class = exponent_class(params, tuple(ri + e - 1 for ri in r)) - chi2_class
+    chi1 = character(params, (chi1_class,) + zeros, unram=unram)
+    return params, chi1, character(params, (chi2_class,) + zeros)
 
 
-def _sweep_worker(spec: Tuple[int, int, int, int, Tuple[int, ...]]) -> Tuple[str, ...]:
-    p, e, f, chi2_class, r = spec
-    sig_text = ""
-    try:
-        params, chi1, chi2 = _build_instance(spec)
-    except NoValidShift:
-        return (
-            str(p), str(e), str(f), sig_text, "|".join(map(str, r)),
-            "", "", "", "0", "0", "1",
-        )
-    profile = ts_profile(params, r, chi1, chi2)
-    chi = char_quotient(params, chi1, chi2)
-    sig_text = "|".join(map(str, chi.signature.a))
-    constructive = j_v_ah(params, profile, chi)
-    bruteforce = j_v_ah_bruteforce(params, profile, chi)
-    total = profile.interval_total()
-    ok = constructive == bruteforce and len(constructive) == total
-    return (
-        str(p), str(e), str(f), sig_text, "|".join(map(str, r)),
-        "|".join(map(str, profile.t)), "|".join(map(str, profile.s)),
-        "|".join(map(str, profile.xi)),
-        str(len(constructive)), str(total), "1" if ok else "0",
-    )
-
-
-_SWEEP_HEADER = ("p", "e", "f", "chi_sig", "r", "t", "s", "xi", "|J|", "sum|I|", "ok")
+def _grid_instance(spec: GridSpec, unram: UnramifiedPart = UnramifiedPart()):
+    """(params, chi1, chi2, chi1/chi2, profile); NoValidShift without a shift subset."""
+    params, chi1, chi2 = _grid_pair(spec, unram)
+    profile = ts_profile(params, spec[4], chi1, chi2)
+    return params, chi1, chi2, char_quotient(params, chi1, chi2), profile
 
 
 def _worker_count(jobs: int) -> int:
@@ -602,37 +575,93 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def cmd_sweep(args) -> Tuple[Optional[dict], int]:
-    jobs = _worker_count(args.jobs)
-    cells = _grid_cells(args.p_max, args.e_max, args.f_max)
-    instances = [spec for cell in cells for spec in _cell_instances(cell)]
-    if args.max_instances and len(instances) > args.max_instances:
-        stride = -(-len(instances) // args.max_instances)
-        instances = instances[::stride]
-    if jobs > 1:
-        from multiprocessing import Pool
+def _mapped(jobs: int, *maps) -> Iterator:
+    """The results of each (function, items, chunksize) in order: in this
+    process for one worker, else in one pool shared by all the maps."""
+    if jobs == 1:
+        for function, items, _ in maps:
+            yield from map(function, items)
+        return
+    from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
-            rows = pool.map(_sweep_worker, instances, chunksize=64)
-    else:
-        rows = [_sweep_worker(spec) for spec in instances]
+    with Pool(jobs) as pool:
+        for function, items, chunksize in maps:
+            yield from pool.map(function, items, chunksize=chunksize)
+
+
+def _joined(values) -> str:
+    return "|".join(map(str, values))
+
+
+def _sweep_worker(spec: GridSpec) -> Tuple[str, ...]:
+    p, e, f, _, r = spec
+    try:
+        params, _, _, chi, profile = _grid_instance(spec)
+    except NoValidShift:
+        return (str(p), str(e), str(f), "", _joined(r), "", "", "", "0", "0", "1")
+    constructive = j_v_ah(params, profile, chi)
+    bruteforce = j_v_ah_bruteforce(params, profile, chi)
+    total = profile.interval_total()
+    ok = constructive == bruteforce and len(constructive) == total
+    return (
+        str(p), str(e), str(f), _joined(chi.signature.a), _joined(r),
+        _joined(profile.t), _joined(profile.s), _joined(profile.xi),
+        str(len(constructive)), str(total), "1" if ok else "0",
+    )
+
+
+_SWEEP_HEADER = ("p", "e", "f", "chi_sig", "r", "t", "s", "xi", "|J|", "sum|I|", "ok")
+
+
+def cmd_sweep(args) -> Tuple[None, int]:
+    import csv
+
+    jobs = _worker_count(args.jobs)
+    _, specs = _grid(args)
+    rows = list(_mapped(jobs, (_sweep_worker, specs, 64)))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SWEEP_HEADER)
     writer.writerows(rows)
-    text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    failures = sum(1 for row in rows if row[-1] == "0")
-    return None, 0 if failures == 0 else 1
+    _write(buffer.getvalue(), args.out)
+    return None, 0 if all(row[-1] == "1" for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 # The verification suite
 # ---------------------------------------------------------------------------
+
+# Every verify property, in report order.  oracle_agreement is checked and
+# reported only with --with-oracle; unexpected_error collects the errors of
+# every check.
+_PROPERTIES = (
+    "dimension_sum", "jump_size", "window_count", "w_prime_cardinality",
+    "basis_cardinality", "profile_reflection", "profile_membership",
+    "xi_congruence", "j_min_least", "constructive_vs_bruteforce",
+    "j_size_equals_interval_total", "labels_within_basis",
+    "e_m_independence", "lv_alpha_labels", "twist_invariance",
+    "oracle_agreement", "unexpected_error",
+)
+
+
+def _checked(where: str, check, *args) -> List[Tuple[str, str]]:
+    """(property, where) for each property that ``check(*args)`` names, once.
+
+    A grid point with no shift subset has an empty subspace and nothing to
+    check; any other package error is an unexpected_error.
+    """
+    try:
+        names = dict.fromkeys(check(*args))
+    except NoValidShift:
+        return []
+    except SerreWeightsError as exc:
+        return [("unexpected_error", f"{where}: {exc!r}")]
+    return [(name, where) for name in names]
+
+
+def _where(spec: GridSpec) -> str:
+    p, e, f, chi2_class, r = spec
+    return f"p={p} e={e} f={f} chi2_class={chi2_class} r={r}"
 
 
 def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
@@ -642,230 +671,152 @@ def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
     failures = []
     for cls in range(params.tame_order):
         chis = [character(params, (cls,) + (0,) * (f - 1))]
-        if params.p > 2 and chis[0].signature == cyclotomic_inertia_signature(params):
-            chis.append(
-                character(params, (cls,) + (0,) * (f - 1), cyclotomic=True)
-            )
+        if p > 2 and chis[0].signature == cyclotomic_inertia_signature(params):
+            chis.append(character(params, (cls,) + (0,) * (f - 1), cyclotomic=True))
         for chi in chis:
             where = f"p={p} e={e} f={f} class={cls} cyc={chi.declared_cyclotomic}"
-            try:
-                profile = jump_profile(params, chi)
-                if profile.total != h1_dimension(params, chi):
-                    failures.append(("dimension_sum", where))
-                top = 1 + Fraction(e * p, p - 1)
-                f_prime, f_dprime = niveau(params, chi.signature)
-                for s, d in profile.entries:
-                    if 0 < s < top and d != f_dprime:
-                        failures.append(("jump_size", where))
-                        break
-                if any(
-                    window_cardinality(params, chi, j) != f for j in range(e)
-                ):
-                    failures.append(("window_count", where))
-                if len(w_prime(params, chi)) != e * f_prime:
-                    failures.append(("w_prime_cardinality", where))
-                if len(basis_labels(params, chi)) != h1_dimension(params, chi):
-                    failures.append(("basis_cardinality", where))
-            except SerreWeightsError as exc:
-                failures.append(("unexpected_error", f"{where}: {exc!r}"))
+            failures += _checked(where, _character_checks, params, chi)
     return failures
 
 
-def _verify_pair_instance(spec) -> List[Tuple[str, str]]:
-    p, e, f, chi2_class, r = spec
-    where = f"p={p} e={e} f={f} chi2_class={chi2_class} r={r}"
-    try:
-        return _pair_checks(spec, where)
-    except NoValidShift:
-        return []
-    except SerreWeightsError as exc:
-        return [("unexpected_error", f"{where}: {exc!r}")]
+def _character_checks(params: FieldParams, chi: CharacterData) -> Iterator[str]:
+    p, e, f = params.p, params.e, params.f
+    profile = jump_profile(params, chi)
+    h1 = h1_dimension(params, chi)
+    if profile.total != h1:
+        yield "dimension_sum"
+    top = 1 + Fraction(e * p, p - 1)
+    f_prime, f_dprime = niveau(params, chi.signature)
+    if any(0 < s < top and d != f_dprime for s, d in profile.entries):
+        yield "jump_size"
+    if any(window_cardinality(params, chi, j) != f for j in range(e)):
+        yield "window_count"
+    if len(w_prime(params, chi)) != e * f_prime:
+        yield "w_prime_cardinality"
+    if len(basis_labels(params, chi)) != h1:
+        yield "basis_cardinality"
 
 
-def _pair_checks(spec, where: str) -> List[Tuple[str, str]]:
+def _verify_pair_instance(spec: GridSpec) -> List[Tuple[str, str]]:
+    return _checked(_where(spec), _pair_checks, spec)
+
+
+def _pair_checks(spec: GridSpec) -> Iterator[str]:
     """Profile and label-set properties for one (r, chi2) grid point."""
-    p, e, f, chi2_class, r = spec
-    failures: List[Tuple[str, str]] = []
-    params, chi1, chi2 = _build_instance(spec)
-    profile = ts_profile(params, r, chi1, chi2)
-    chi = char_quotient(params, chi1, chi2)
+    p, e, f, _, r = spec
+    params, chi1, chi2, chi, profile = _grid_instance(spec)
     q1 = params.tame_order
+    n = n_values(params, chi.signature)
     for i in range(f):
-        allowed = set(range(e)) | set(range(r[i], r[i] + e))
         if profile.s[i] + profile.t[i] != r[i] + e - 1:
-            failures.append(("profile_reflection", where))
-        if profile.t[i] not in allowed or profile.s[i] not in allowed:
-            failures.append(("profile_membership", where))
-        if (profile.xi[i] - n_values(params, chi.signature)[i]) % q1:
-            failures.append(("xi_congruence", where))
+            yield "profile_reflection"
+        if not (_admissible(e, r[i], profile.t[i]) and _admissible(e, r[i], profile.s[i])):
+            yield "profile_membership"
+        if (profile.xi[i] - n[i]) % q1:
+            yield "xi_congruence"
     m = reduced_exponents(params, chi2)
-    valid_subsets = []
     for mask in range(1 << f):
         shifted = list(m)
         for i in range(f):
             if mask >> i & 1:
                 shifted[i] -= 1
                 shifted[(i + 1) % f] += p
-        if all(
-            0 <= x < e or r[i] <= x < r[i] + e for i, x in enumerate(shifted)
-        ):
-            subset = frozenset(i for i in range(f) if mask >> i & 1)
-            if canonical_signature(params, tuple(shifted)) == chi2.signature:
-                valid_subsets.append(subset)
-    if any(not profile.j_min <= other for other in valid_subsets):
-        failures.append(("j_min_least", where))
+        if all(_admissible(e, ri, x) for ri, x in zip(r, shifted)):
+            if not profile.j_min <= {i for i in range(f) if mask >> i & 1}:
+                yield "j_min_least"
     constructive = j_v_ah(params, profile, chi)
-    bruteforce = j_v_ah_bruteforce(params, profile, chi)
-    if constructive != bruteforce:
-        failures.append(("constructive_vs_bruteforce", where))
+    if j_v_ah_bruteforce(params, profile, chi) != constructive:
+        yield "constructive_vs_bruteforce"
     if len(constructive) != profile.interval_total():
-        failures.append(("j_size_equals_interval_total", where))
+        yield "j_size_equals_interval_total"
     labels = set(basis_labels(params, chi))
     if any(label not in labels for label in constructive):
-        failures.append(("labels_within_basis", where))
-    gcd_n = gcd(q1, *n_values(params, chi.signature))
-    for e_m in _divisors(q1):
-        if gcd_n % (q1 // e_m) == 0:
-            if j_v_ah(params, profile, chi, e_m) != constructive:
-                failures.append(("e_m_independence", where))
-            elif j_v_ah_bruteforce(params, profile, chi, e_m) != constructive:
-                failures.append(("e_m_independence", where))
+        yield "labels_within_basis"
+    # The admissible e_M: (p^f - 1)/e_M divides every n_i (validate_e_m).
+    gcd_n = gcd(q1, *n)
+    for e_m in (q1 // d for d in range(1, gcd_n + 1) if gcd_n % d == 0):
+        if (
+            j_v_ah(params, profile, chi, e_m) != constructive
+            or j_v_ah_bruteforce(params, profile, chi, e_m) != constructive
+        ):
+            yield "e_m_independence"
     result = l_v_ah(params, weight_from_r(params, r), chi1, chi2)
     alphas = {label for label in result.labels if label.is_alpha}
     if not result.exceptional and alphas != constructive:
-        failures.append(("lv_alpha_labels", where))
-    return failures
+        yield "lv_alpha_labels"
 
 
-def _verify_twist_instance(spec_and_theta) -> List[Tuple[str, str]]:
+def _verify_twist_instance(job: Tuple[GridSpec, Tuple[int, ...]]) -> List[Tuple[str, str]]:
+    spec, theta = job
+    return _checked(f"{_where(spec)} theta={theta}", _twist_checks, spec, theta)
+
+
+def _twist_checks(spec: GridSpec, theta: Tuple[int, ...]) -> Iterator[str]:
     """l_v_ah of a theta-twisted instance equals l_v_ah of its normalization.
 
-    The grid instance is consistent at theta = 0, so the twisted instance
-    must carry characters with the theta class added back; twist_normalize
-    inside l_v_ah then lands exactly on the plain instance.
+    The grid pair is consistent at theta = 0, so the twisted instance must
+    carry characters with the theta class added back; twist_normalize
+    inside l_v_ah then lands exactly on the plain instance.  Neither call
+    declares a cyclotomic quotient, so both raise NoValidShift on a point
+    with no shift subset.
     """
-    spec, theta = spec_and_theta
-    p, e, f, chi2_class, r = spec
-    where = f"p={p} e={e} f={f} chi2_class={chi2_class} r={r} theta={theta}"
-    try:
-        params, c1, c2 = _build_instance(spec)
-        twist_cls = exponent_class(params, theta)
-        zeros = (0,) * (f - 1)
-        chi1 = character(
-            params, (signature_class(params, c1.signature) + twist_cls,) + zeros
-        )
-        chi2 = character(
-            params, (signature_class(params, c2.signature) + twist_cls,) + zeros
-        )
-        weight = SerreWeight(
-            tuple(ri - 1 + th for ri, th in zip(r, theta)), tuple(theta)
-        )
-        twisted = l_v_ah(params, weight, chi1, chi2)
-        plain = l_v_ah(params, weight_from_r(params, r), c1, c2)
-    except NoValidShift:
-        return []
-    except SerreWeightsError as exc:
-        return [("unexpected_error", f"{where}: {exc!r}")]
-    if twisted.labels != plain.labels:
-        return [("twist_invariance", where)]
-    return []
+    params, c1, c2 = _grid_pair(spec)
+    r = spec[4]
+    twist_cls = exponent_class(params, theta)
+    zeros = (0,) * (params.f - 1)
+    chi1 = character(params, (signature_class(params, c1.signature) + twist_cls,) + zeros)
+    chi2 = character(params, (signature_class(params, c2.signature) + twist_cls,) + zeros)
+    weight = SerreWeight(tuple(ri - 1 + th for ri, th in zip(r, theta)), tuple(theta))
+    twisted = l_v_ah(params, weight, chi1, chi2)
+    if twisted.labels != l_v_ah(params, weight_from_r(params, r), c1, c2).labels:
+        yield "twist_invariance"
 
 
-def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-_ORACLE_MUS: Dict[int, Tuple[UnramifiedPart, ...]] = {
+_ORACLE_MUS = {
     2: (UnramifiedPart(1, 0), UnramifiedPart(2, 1)),
     3: (UnramifiedPart(1, 0), UnramifiedPart(1, 1), UnramifiedPart(2, 2)),
 }
 
 
-def _verify_oracle_instance(spec_and_mu) -> List[Tuple[str, str]]:
-    spec, mu = spec_and_mu
-    p, e, f, chi2_class, r = spec
-    where = (
-        f"p={p} e={e} f={f} chi2_class={chi2_class} r={r} "
-        f"mu={mu.order_field_degree}:{mu.dlog}"
-    )
-    try:
-        params, chi1_plain, chi2 = _build_instance(spec)
-        chi1 = character(params, chi1_plain.signature.a, unram=mu)
-        profile = ts_profile(params, r, chi1, chi2)
-        chi = char_quotient(params, chi1, chi2)
-        constructive = j_v_ah(params, profile, chi)
-        oracle = rederive_jvah(params, profile, chi)
-    except NoValidShift:
-        return []
-    except SerreWeightsError as exc:
-        return [("unexpected_error", f"{where}: {exc!r}")]
-    if oracle != constructive:
-        return [("oracle_agreement", where)]
-    return []
+def _verify_oracle_instance(job: Tuple[GridSpec, UnramifiedPart]) -> List[Tuple[str, str]]:
+    spec, mu = job
+    where = f"{_where(spec)} mu={mu.order_field_degree}:{mu.dlog}"
+    return _checked(where, _oracle_checks, spec, mu)
+
+
+def _oracle_checks(spec: GridSpec, mu: UnramifiedPart) -> Iterator[str]:
+    params, _, _, chi, profile = _grid_instance(spec, mu)
+    constructive = j_v_ah(params, profile, chi)
+    if rederive_jvah(params, profile, chi) != constructive:
+        yield "oracle_agreement"
 
 
 def cmd_verify(args) -> Tuple[dict, int]:
     jobs = _worker_count(args.jobs)
-    cells = _grid_cells(args.p_max, args.e_max, args.f_max)
-    pair_instances = [spec for cell in cells for spec in _cell_instances(cell)]
-    if args.max_instances and len(pair_instances) > args.max_instances:
-        stride = -(-len(pair_instances) // args.max_instances)
-        pair_instances = pair_instances[::stride]
+    cells, specs = _grid(args)
     twist_jobs = []
-    for index, spec in enumerate(pair_instances):
-        if index % 17 == 0:  # deterministic sample, every 17th instance
-            p, e, f = spec[0], spec[1], spec[2]
-            theta = tuple((index + i) % (p - 1) if p > 2 else 0 for i in range(f))
-            twist_jobs.append((spec, theta))
+    for index in range(0, len(specs), 17):  # deterministic sample, every 17th point
+        p, _, f, _, _ = specs[index]
+        theta = tuple((index + i) % (p - 1) if p > 2 else 0 for i in range(f))
+        twist_jobs.append((specs[index], theta))
     oracle_jobs = []
     if args.with_oracle:
         for cell in _grid_cells(min(args.p_max, 3), min(args.e_max, 2), min(args.f_max, 2)):
             for spec in _cell_instances(cell):
                 for mu in _ORACLE_MUS[cell[0]]:
                     oracle_jobs.append((spec, mu))
-    failures: List[Tuple[str, str]] = []
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            for result in pool.map(_verify_character_cell, cells, chunksize=1):
-                failures.extend(result)
-            for result in pool.map(_verify_pair_instance, pair_instances, chunksize=64):
-                failures.extend(result)
-            for result in pool.map(_verify_twist_instance, twist_jobs, chunksize=16):
-                failures.extend(result)
-            for result in pool.map(_verify_oracle_instance, oracle_jobs, chunksize=4):
-                failures.extend(result)
-    else:
-        for cell in cells:
-            failures.extend(_verify_character_cell(cell))
-        for spec in pair_instances:
-            failures.extend(_verify_pair_instance(spec))
-        for job in twist_jobs:
-            failures.extend(_verify_twist_instance(job))
-        for job in oracle_jobs:
-            failures.extend(_verify_oracle_instance(job))
-    properties = [
-        "dimension_sum", "jump_size", "window_count", "w_prime_cardinality",
-        "basis_cardinality", "profile_reflection", "profile_membership",
-        "xi_congruence", "j_min_least", "constructive_vs_bruteforce",
-        "j_size_equals_interval_total", "labels_within_basis",
-        "e_m_independence", "lv_alpha_labels", "twist_invariance",
-    ]
-    if args.with_oracle:
-        properties.append("oracle_agreement")
-    properties.append("unexpected_error")
-    by_name: Dict[str, List[str]] = {name: [] for name in properties}
-    for name, where in failures:
-        by_name.setdefault(name, []).append(where)
+    names = [n for n in _PROPERTIES if args.with_oracle or n != "oracle_agreement"]
+    by_name = {name: [] for name in names}
+    for found in _mapped(
+        jobs,
+        (_verify_character_cell, cells, 1),
+        (_verify_pair_instance, specs, 64),
+        (_verify_twist_instance, twist_jobs, 16),
+        (_verify_oracle_instance, oracle_jobs, 4),
+    ):
+        for name, where in found:
+            by_name[name].append(where)
+    failed = any(by_name.values())
     report = {
         "command": "verify",
         "grid": {
@@ -874,7 +825,7 @@ def cmd_verify(args) -> Tuple[dict, int]:
             "f_max": args.f_max,
             "with_oracle": bool(args.with_oracle),
         },
-        "pair_instances": len(pair_instances),
+        "pair_instances": len(specs),
         "twist_instances": len(twist_jobs),
         "oracle_instances": len(oracle_jobs),
         "properties": [
@@ -885,9 +836,9 @@ def cmd_verify(args) -> Tuple[dict, int]:
             }
             for name, cases in by_name.items()
         ],
-        "status": "ok" if not failures else "failed",
+        "status": "failed" if failed else "ok",
     }
-    return report, 0 if not failures else 1
+    return report, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -895,19 +846,26 @@ def cmd_verify(args) -> Tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--out", help="write the report to this path")
+
+
 def _add_char_flags(parser: argparse.ArgumentParser) -> None:
+    for flag in ("--p", "--e", "--f"):
+        parser.add_argument(flag, type=int, required=True)
     parser.add_argument("--chi-exps", help="comma-separated inertial exponents")
     parser.add_argument("--chi-unram", help="unramified part as DEGREE:DLOG")
     parser.add_argument("--chi-trivial", action="store_true",
                         help="assert the character is trivial")
     parser.add_argument("--chi-cyclotomic", action="store_true",
                         help="declare the character cyclotomic")
+    _add_output_flags(parser)
 
 
-def _add_pair_flags(parser: argparse.ArgumentParser, oracle: bool = False) -> None:
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--e", type=int)
-    parser.add_argument("--f", type=int)
+def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
+    for flag in ("--p", "--e", "--f"):
+        parser.add_argument(flag, type=int)
     parser.add_argument("--r", help="comma-separated r tuple (theta = 0 weights)")
     parser.add_argument("--eta", help="comma-separated eta tuple")
     parser.add_argument("--theta", help="comma-separated theta tuple")
@@ -922,78 +880,58 @@ def _add_pair_flags(parser: argparse.ArgumentParser, oracle: bool = False) -> No
     parser.add_argument("--e-m", type=int, dest="e_m",
                         help="auxiliary tame degree, defaults to p^f - 1")
     parser.add_argument("--problem", help="JSON problem document ('-' for stdin)")
-    if oracle:
-        parser.add_argument("--fq-degree", type=int, dest="fq_degree",
-                            help="coefficient field degree for the oracle")
-        parser.add_argument("--trunc", type=int,
-                            help="series truncation degree for the oracle")
+    _add_output_flags(parser)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    parser.add_argument("--out", help="write the report to this path")
+def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
+    _add_pair_flags(parser)
+    parser.add_argument("--fq-degree", type=int, dest="fq_degree",
+                        help="coefficient field degree for the oracle")
+    parser.add_argument("--trunc", type=int,
+                        help="series truncation degree for the oracle")
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p-max", type=int, default=3)
+    parser.add_argument("--e-max", type=int, default=2)
+    parser.add_argument("--f-max", type=int, default=2)
+    parser.add_argument("--max-instances", type=int, default=0,
+                        help="stride-subsample beyond this many instances")
+    parser.add_argument("--jobs", type=int, default=1)
+
+
+def _add_verify_flags(parser: argparse.ArgumentParser) -> None:
+    _add_grid_flags(parser)
+    parser.add_argument("--with-oracle", action="store_true")
+    _add_output_flags(parser)
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_grid_flags(parser)
+    parser.add_argument("--out", help="write CSV here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="serreweights",
         description="Explicit basis labels and distinguished subspaces for "
         "tame two-dimensional mod-p extensions, with a series oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dims = sub.add_parser("dims", help="jump filtration dimensions")
-    for q in (p_dims,):
-        q.add_argument("--p", type=int, required=True)
-        q.add_argument("--e", type=int, required=True)
-        q.add_argument("--f", type=int, required=True)
-        _add_char_flags(q)
-        _add_output_flags(q)
-    p_dims.set_defaults(func=cmd_dims)
-
-    p_basis = sub.add_parser("basis", help="index sets and basis labels")
-    p_basis.add_argument("--p", type=int, required=True)
-    p_basis.add_argument("--e", type=int, required=True)
-    p_basis.add_argument("--f", type=int, required=True)
-    _add_char_flags(p_basis)
-    _add_output_flags(p_basis)
-    p_basis.set_defaults(func=cmd_basis)
-
-    p_profile = sub.add_parser("profile", help="shift profile (t, s, I, xi)")
-    _add_pair_flags(p_profile)
-    _add_output_flags(p_profile)
-    p_profile.set_defaults(func=cmd_profile)
-
-    p_lv = sub.add_parser("lv", help="distinguished subspace labels")
-    _add_pair_flags(p_lv)
-    _add_output_flags(p_lv)
-    p_lv.set_defaults(func=cmd_lv)
-
-    p_oracle = sub.add_parser("oracle", help="residue-pairing re-derivation")
-    _add_pair_flags(p_oracle, oracle=True)
-    _add_output_flags(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_verify = sub.add_parser("verify", help="run the property suite on a grid")
-    p_verify.add_argument("--p-max", type=int, default=3)
-    p_verify.add_argument("--e-max", type=int, default=2)
-    p_verify.add_argument("--f-max", type=int, default=2)
-    p_verify.add_argument("--with-oracle", action="store_true")
-    p_verify.add_argument("--max-instances", type=int, default=0,
-                          help="stride-subsample beyond this many instances")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    _add_output_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="CSV sweep over a parameter grid")
-    p_sweep.add_argument("--p-max", type=int, default=3)
-    p_sweep.add_argument("--e-max", type=int, default=2)
-    p_sweep.add_argument("--f-max", type=int, default=2)
-    p_sweep.add_argument("--max-instances", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--out", help="write CSV here instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    for name, func, add_flags, help_text in (
+        ("dims", cmd_dims, _add_char_flags, "jump filtration dimensions"),
+        ("basis", cmd_basis, _add_char_flags, "index sets and basis labels"),
+        ("profile", cmd_profile, _add_pair_flags, "shift profile (t, s, I, xi)"),
+        ("lv", cmd_lv, _add_pair_flags, "distinguished subspace labels"),
+        ("oracle", cmd_oracle, _add_oracle_flags, "residue-pairing re-derivation"),
+        ("verify", cmd_verify, _add_verify_flags, "run the property suite on a grid"),
+        ("sweep", cmd_sweep, _add_sweep_flags, "CSV sweep over a parameter grid"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        add_flags(command)
+        command.set_defaults(func=func)
     return parser
 
 

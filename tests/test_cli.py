@@ -6,16 +6,20 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+import oracles
 from serreweights import (
     FieldParams,
     InvalidInput,
     InvariantError,
     SchemaError,
+    character,
     parse_problem,
+    reduced_exponents,
     run_command,
 )
 import serreweights
@@ -174,12 +178,17 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["h1"] == 2
 
 
+CLI_ONLY_MODULES = ("multiprocessing", "argparse", "csv", "json")
+
+
 def test_import_loads_no_multiprocessing():
+    """Nor any other module that only the command line uses."""
     done = run_python(
-        ["-c", "import sys, serreweights; print('multiprocessing' in sys.modules)"]
+        ["-c", "import sys, serreweights; "
+               f"print([m for m in {CLI_ONLY_MODULES!r} if m in sys.modules])"]
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_dims_at_large_p_enumerates_the_progressions():
@@ -200,11 +209,27 @@ def test_unknown_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_csv_format_rejected_outside_sweep(capsys):
+def test_csv_format_rejected_outside_sweep(capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(io_cli, "_grid_cells", no_grid)
     code = run_command(["dims", "--p", "3", "--e", "1", "--f", "1",
                         "--chi-exps", "1", "--format", "csv"])
     assert code == 2
-    capsys.readouterr()
+    # the parser rejects it, before verify builds or checks any grid point
+    assert run_command(["verify", "--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--p", "3", "--e", "1", "--f", "1", "--chi-exps", "1"],
+    ["sweep", "--p-max", "2", "--e-max", "1", "--f-max", "1"],
+])
+def test_unwritable_out_is_invalid_input(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "report"
+    assert run_command(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid input: cannot write {out}: ")
 
 
 def test_text_format(capsys):
@@ -273,6 +298,8 @@ def test_parse_problem_schema_errors():
         parse_problem({**PROBLEM_DOC, "params": {"p": 3.0, "e": 2, "f": 1}})
     with pytest.raises(SchemaError, match=r"expected an object at \.weight"):
         parse_problem({**PROBLEM_DOC, "weight": [2]})
+    with pytest.raises(SchemaError, match=r"expected an integer at \.chi1\.exps\[0\]"):
+        parse_problem({**PROBLEM_DOC, "chi1": {"exps": ["x"]}})
 
 
 def test_parse_problem_accepts_decimal_strings():
@@ -374,6 +401,84 @@ def test_verify_reports_mutations(capsys, monkeypatch):
     assert by_name["xi_congruence"]["first_counterexample"]
 
 
+def valid_shift_points(p_max, e_max, f_max):
+    """(params, chi2 class, r, m, a valid shift subset) for each grid point
+    of p <= p_max that has a shift subset, found from the definitions."""
+    for p, e, f in product((2, 3, 5), range(1, e_max + 1), range(1, f_max + 1)):
+        if p > p_max:
+            continue
+        params = FieldParams(p, e, f)
+        for cls2 in range(params.tame_order):
+            chi2 = character(params, (cls2,) + (0,) * (f - 1))
+            m = reduced_exponents(params, chi2)
+            for r in product(range(1, p + 1), repeat=f):
+                subsets = oracles.valid_shift_subsets(p, e, f, r, m)
+                if subsets:
+                    yield params, cls2, r, m, subsets[0]
+
+
+def test_verify_counts_each_failing_instance_once(capsys, monkeypatch):
+    """With every s_i one too large, each pair instance with a shift subset
+    fails profile_reflection at every index, or is an unexpected_error when
+    a later check raises; either way it counts once."""
+    real = io_cli.ts_profile
+
+    def corrupted(params, weight_r, chi1, chi2):
+        profile = real(params, weight_r, chi1, chi2)
+        return dataclasses.replace(profile, s=tuple(si + 1 for si in profile.s))
+
+    monkeypatch.setattr(io_cli, "ts_profile", corrupted)
+    code, doc = run_json(
+        capsys, ["verify", "--p-max", "3", "--e-max", "1", "--f-max", "2"]
+    )
+    assert code == 1
+    counts = {prop["name"]: prop["failures"] for prop in doc["properties"]}
+    shifted = sum(1 for _ in valid_shift_points(3, 1, 2))
+    raised = counts.pop("unexpected_error")
+    assert counts["profile_reflection"] + raised == shifted
+    assert all(count <= shifted - raised for count in counts.values())
+    assert counts["profile_membership"] > 0  # some s_i + 1 leave the pool
+
+
+VERIFY_PROPERTIES = [
+    "dimension_sum", "jump_size", "window_count", "w_prime_cardinality",
+    "basis_cardinality", "profile_reflection", "profile_membership",
+    "xi_congruence", "j_min_least", "constructive_vs_bruteforce",
+    "j_size_equals_interval_total", "labels_within_basis",
+    "e_m_independence", "lv_alpha_labels", "twist_invariance",
+    "oracle_agreement", "unexpected_error",
+]
+
+
+def test_default_verify_with_oracle_report(capsys):
+    code, doc = run_json(capsys, ["verify", "--with-oracle"])
+    assert code == 0
+    assert [prop["name"] for prop in doc["properties"]] == VERIFY_PROPERTIES
+    assert (doc["pair_instances"], doc["twist_instances"], doc["oracle_instances"]) == (
+        184, 11, 524
+    )
+    _, doc = run_json(capsys, ["verify", "--p-max", "2", "--e-max", "1", "--f-max", "1"])
+    without_oracle = [name for name in VERIFY_PROPERTIES if name != "oracle_agreement"]
+    assert [prop["name"] for prop in doc["properties"]] == without_oracle
+
+
+def test_grid_chi1_closed_form_matches_the_shift():
+    """chi1's class is that of r + e - 1 less chi2's, as the shift gives."""
+    points = 0
+    for params, cls2, r, m, subset in valid_shift_points(5, 3, 3):
+        p, e, f = params.p, params.e, params.f
+        t = list(m)
+        for i in subset:
+            t = [a + b for a, b in zip(t, oracles.shift_vec(p, f, i))]
+        diff = [ri + e - 1 - 2 * ti for ri, ti in zip(r, t)]
+        want = (cls2 + oracles.exponent_class(p, f, diff)) % params.tame_order
+        _, chi1, chi2 = io_cli._grid_pair((p, e, f, cls2, r))
+        assert oracles.signature_class(p, f, chi1.signature.a) == want, (params, cls2, r)
+        assert oracles.signature_class(p, f, chi2.signature.a) == cls2
+        points += 1
+    assert points > 1000
+
+
 GRID_FLAGS = ["--p-max", "2", "--e-max", "1", "--f-max", "1"]
 
 
@@ -382,6 +487,13 @@ GRID_FLAGS = ["--p-max", "2", "--e-max", "1", "--f-max", "1"]
 def test_jobs_below_one_is_invalid_input(capsys, command, jobs):
     assert run_command([command] + GRID_FLAGS + ["--jobs", jobs]) == 2
     assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("limit", ["-1", "-5"])
+def test_negative_max_instances_is_invalid_input(capsys, command, limit):
+    assert run_command([command] + GRID_FLAGS + ["--max-instances", limit]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: --max-instances")
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
