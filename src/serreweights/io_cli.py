@@ -242,16 +242,23 @@ def _flatten(prefix: str, value, lines: List[str]) -> None:
         lines.append(f"{prefix}: {value}")
 
 
-def _write(text: str, out_path: Optional[str]) -> None:
+def _write(text: str, out_path: Optional[str], mode: str = "w") -> None:
     """Write to ``out_path``, or to stdout without one; unwritable is invalid input."""
     if not out_path:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w") as handle:
+        with open(out_path, mode) as handle:
             handle.write(text)
     except OSError as exc:
         raise InvalidInput(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
+def _check_out(out_path: Optional[str]) -> None:
+    """Fail on an unwritable ``out_path`` before a grid runs; opening it to
+    append nothing leaves an existing file as it is."""
+    if out_path:
+        _write("", out_path, "a")
 
 
 def _emit(report: dict, fmt: str, out_path: Optional[str]) -> None:
@@ -617,6 +624,7 @@ def cmd_sweep(args) -> Tuple[None, int]:
     import csv
 
     jobs = _worker_count(args.jobs)
+    _check_out(args.out)
     _, specs = _grid(args)
     rows = list(_mapped(jobs, (_sweep_worker, specs, 64)))
     buffer = io.StringIO()
@@ -793,6 +801,7 @@ def _oracle_checks(spec: GridSpec, mu: UnramifiedPart) -> Iterator[str]:
 
 def cmd_verify(args) -> Tuple[dict, int]:
     jobs = _worker_count(args.jobs)
+    _check_out(args.out)
     cells, specs = _grid(args)
     twist_jobs = []
     for index in range(0, len(specs), 17):  # deterministic sample, every 17th point

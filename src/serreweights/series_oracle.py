@@ -4,8 +4,8 @@ This module rebuilds the label subset of a profile by a route that shares
 nothing with the digit combinatorics: units are built from the Artin-Hasse
 exponential with coefficients in the tensor ring (residue field of the
 auxiliary extension) tensor F_q, their logarithmic derivatives are computed
-by honest series division, and a label is kept exactly when some spanning
-class has nonzero residue-trace pairing against it.
+from one honest series division, and a label is kept exactly when some
+spanning class has nonzero residue-trace pairing against it.
 
 The tensor ring is realized componentwise: an element is a tuple of F_q
 values indexed by the embeddings of the auxiliary residue field, so ring
@@ -17,6 +17,15 @@ reason a unit is never exponentiated from an arbitrary tuple: the tuple is
 first decomposed over a basis of residue-field ("coherent") tuples by
 linear algebra, one honest Artin-Hasse factor is built per basis vector,
 and the unit's dlog is the scalar combination of the factors' dlogs.
+
+The coherent basis is the powers of the conjugates x_i of one generator,
+so its component matrix (x_i^t) is a Vandermonde matrix, inverted by
+Lagrange interpolation.  The dlog v E'(v)/E(v) of the mod-p Artin-Hasse
+series E is found once per prime by plain series division over F_p, with
+coefficients delta_k.  Substituting v -> lam v is a ring map that commutes
+with v d/dv, so the dlog of a factor E(lam v) has coefficients
+delta_k lam^k, componentwise; one such table per field serves every
+exponent m' by re-expansion to degrees k m'.
 """
 
 from __future__ import annotations
@@ -160,10 +169,36 @@ def artin_hasse_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
     return reduced
 
 
+def _bucket(trunc: int) -> int:
+    """The power-of-two cache bucket (at least 64) that covers degree trunc."""
+    return max(64, 1 << trunc.bit_length())
+
+
 def _ah_prefix(p: int, trunc: int) -> Tuple[int, ...]:
     """Mod-p coefficients 0..trunc, served from power-of-two cache buckets."""
-    bucket = max(64, 1 << trunc.bit_length())
-    return artin_hasse_mod_p(p, bucket)[: trunc + 1]
+    return artin_hasse_mod_p(p, _bucket(trunc))[: trunc + 1]
+
+
+@lru_cache(maxsize=None)
+def _ah_dlog_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
+    """Coefficients delta_0..delta_D of v E'(v)/E(v), E the mod-p Artin-Hasse
+    series, by plain series division over F_p (E has constant term 1)."""
+    ah = artin_hasse_mod_p(p, trunc)
+    support = [k for k in range(1, trunc + 1) if ah[k]]
+    delta: List[int] = []
+    for d in range(trunc + 1):
+        acc = d * ah[d]
+        for k in support:
+            if k > d:
+                break
+            acc -= ah[k] * delta[d - k]
+        delta.append(acc % p)
+    return tuple(delta)
+
+
+def _ah_dlog_prefix(p: int, trunc: int) -> Tuple[int, ...]:
+    """delta_0..delta_trunc, served from the same cache buckets."""
+    return _ah_dlog_mod_p(p, _bucket(trunc))[: trunc + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -367,40 +402,53 @@ def _coherent_data(
     p: int, r: int, n: int
 ) -> Tuple[Tuple[TensorScalar, ...], Tuple[Tuple[Element, ...], ...]]:
     """Basis tuples of the embedded degree-n residue field, and the inverse
-    of their component matrix (for decomposing arbitrary tuples)."""
+    of their component matrix (for decomposing arbitrary tuples).
+
+    Component i of basis tuple t is x_i^t, where x_i is the conjugate
+    g^(p^((n - i) mod n)) of the subfield generator g, so the component
+    matrix (x_i^t)_{i,t} is a Vandermonde matrix in the n distinct x_i.
+    """
     fq = field(p, r)
     gen = fq.subfield_generator(n)
-    basis = []
-    g_power = fq.one
-    for _ in range(n):
-        basis.append(tuple(fq.frobenius(g_power, (n - i) % n) for i in range(n)))
-        g_power = fq.mul(g_power, gen)
-    matrix = [[basis[t][i] for t in range(n)] for i in range(n)]
-    inverse = _matrix_inverse(fq, matrix)
-    return tuple(basis), inverse
+    xs = tuple(fq.frobenius(gen, (n - i) % n) for i in range(n))
+    basis = [(fq.one,) * n]
+    for _ in range(n - 1):
+        basis.append(tuple(fq.mul(b, x) for b, x in zip(basis[-1], xs)))
+    return tuple(basis), _vandermonde_inverse(fq, xs)
 
 
-def _matrix_inverse(fq: FiniteField, matrix) -> Tuple[Tuple[Element, ...], ...]:
-    n = len(matrix)
-    work = [list(row) + [fq.one if i == j else fq.zero for j in range(n)]
-            for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(
-            (row for row in range(col, n) if work[row][col] != fq.zero), None
-        )
-        if pivot is None:
+def _vandermonde_inverse(
+    fq: FiniteField, xs: Tuple[Element, ...]
+) -> Tuple[Tuple[Element, ...], ...]:
+    """The inverse of (x_i^t)_{i,t}, by Lagrange interpolation in O(n^2).
+
+    Entry (t, i) is the X^t coefficient of L_i = prod_{j != i} (X - x_j)
+    divided by its value at x_i: L_i(x_k) = [i = k] says exactly that these
+    coefficients invert the matrix.  prod_j (X - x_j) is built once and
+    divided synthetically by each X - x_i.
+    """
+    n = len(xs)
+    poly = [fq.one]  # prod_j (X - x_j), coefficients ascending
+    for x in xs:
+        grown = [fq.zero] + poly
+        for k, c in enumerate(poly):
+            grown[k] = fq.sub(grown[k], fq.mul(x, c))
+        poly = grown
+    columns = []
+    for x in xs:
+        quotient = [fq.zero] * n
+        acc = fq.zero
+        for k in range(n, 0, -1):  # q_{k-1} = P_k + x q_k
+            acc = fq.add(poly[k], fq.mul(x, acc))
+            quotient[k - 1] = acc
+        value = fq.zero
+        for c in reversed(quotient):
+            value = fq.add(fq.mul(value, x), c)
+        if value == fq.zero:
             raise InternalInvariantViolation("coherent basis matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = fq.inv(work[col][col])
-        work[col] = [fq.mul(inv, x) for x in work[col]]
-        for row in range(n):
-            if row != col and work[row][col] != fq.zero:
-                factor = work[row][col]
-                work[row] = [
-                    fq.sub(x, fq.mul(factor, y))
-                    for x, y in zip(work[row], work[col])
-                ]
-    return tuple(tuple(row[n:]) for row in work)
+        scale = fq.inv(value)
+        columns.append([fq.mul(scale, c) for c in quotient])
+    return tuple(tuple(column[t] for column in columns) for t in range(n))
 
 
 def decompose_coherent(alg: TensorAlgebra, lam: TensorScalar) -> Tuple[Element, ...]:
@@ -416,33 +464,65 @@ def decompose_coherent(alg: TensorAlgebra, lam: TensorScalar) -> Tuple[Element, 
     return tuple(out)
 
 
+# Per (p, r, n): the bound reached and one row per coherent basis tuple lam,
+# mapping each degree k <= bound with delta_k lam^k nonzero to that tuple.
+_DLOG_TABLES: Dict[Tuple[int, int, int], Tuple[int, Tuple[Dict[int, TensorScalar], ...]]] = {}
+
+
+def _dlog_table(alg: TensorAlgebra, bound: int) -> Tuple[Dict[int, TensorScalar], ...]:
+    """The compressed dlog v E'(lam v)/E(lam v) of each coherent basis tuple.
+
+    Its coefficient at v^k is delta_k lam^k (componentwise powers), so each
+    distinct component value is raised once per degree with delta_k nonzero.
+    One table per field, grown in place to the largest bound requested; rows
+    may reach past ``bound``.
+    """
+    fq = alg.fq
+    key = (fq.p, fq.r, alg.n)
+    basis, _ = _coherent_data(*key)
+    done, rows = _DLOG_TABLES.get(key, (0, tuple({} for _ in basis)))
+    if done >= bound:
+        return rows
+    values = {x for t in basis for x in t}
+    delta = _ah_dlog_prefix(fq.p, bound)
+    for k in range(done + 1, bound + 1):
+        if not delta[k]:
+            continue
+        c = fq.scalar(delta[k])
+        powers = {x: fq.mul(c, fq.pow(x, k)) for x in values}
+        for row, t in zip(rows, basis):
+            coeff = tuple(powers[x] for x in t)
+            if not alg.is_zero(coeff):
+                row[k] = coeff
+    _DLOG_TABLES[key] = (bound, rows)
+    return rows
+
+
 _DLOG_BASIS_CACHE: Dict[Tuple[int, int, int, int], Tuple[int, Tuple[LaurentElement, ...]]] = {}
 
 
 def _dlog_basis(alg: TensorAlgebra, m_prime: int, trunc: int) -> Tuple[LaurentElement, ...]:
     """dlog of the Artin-Hasse factor of each coherent basis tuple.
 
-    Computed in the compressed variable v = u^{m'} (the factor is supported
-    on multiples of m'), then re-expanded; cached per (field, n, m') and
-    grown when a larger truncation is requested.
+    The factor E(lam u^{m'}) is the compressed series E(lam v) at v = u^{m'},
+    and u d/du = m' v d/dv, so its dlog is the field's compressed table up to
+    v^(trunc // m'), scaled by m' and re-expanded to degrees k m'; cached per
+    (field, n, m') and rebuilt when a larger truncation is requested.
     """
     key = (alg.fq.p, alg.fq.r, alg.n, m_prime)
     cached = _DLOG_BASIS_CACHE.get(key)
     if cached is not None and cached[0] >= trunc:
         return cached[1]
-    basis, _ = _coherent_data(alg.fq.p, alg.fq.r, alg.n)
     v_trunc = trunc // m_prime
     scale = alg.fq.scalar(m_prime % alg.fq.p)
     u_trunc = (v_trunc + 1) * m_prime - 1
-    dlogs = []
-    for tuple_t in basis:
-        compressed = epsilon_series(alg, tuple_t, 1, v_trunc)
-        g = dlog_truncated(alg, compressed)
-        expanded = {
-            d * m_prime: alg.scale(scale, c) for d, c in g.coeffs.items()
-        }
-        dlogs.append(LaurentElement(expanded, u_trunc))
-    result = tuple(dlogs)
+    result = tuple(
+        LaurentElement(
+            {k * m_prime: alg.scale(scale, c) for k, c in row.items() if k <= v_trunc},
+            u_trunc,
+        )
+        for row in _dlog_table(alg, v_trunc)
+    )
     _DLOG_BASIS_CACHE[key] = (trunc, result)
     return result
 
@@ -586,6 +666,8 @@ def rederive_jvah(
     pairing is nonzero.  Everything happens in honest truncated series over
     the componentwise tensor ring.
     """
+    if trunc is not None and trunc < 0:
+        raise InvalidInput(f"truncation degree must be >= 0, got {trunc}")
     if e_m is None:
         e_m = params.tame_order
     validate_e_m(params, chi, e_m)

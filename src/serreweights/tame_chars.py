@@ -258,15 +258,21 @@ def _scaled_dlog(p: int, unram: UnramifiedPart, degree: int) -> int:
 
 
 def _normalize_unram(p: int, degree: int, dlog: int) -> UnramifiedPart:
-    """Shrink a degree-L discrete log to the least field containing the value."""
+    """Shrink a degree-L discrete log to the least field containing the value.
+
+    That field's degree is the multiplicative order of p modulo the value's
+    order, which divides L because the value lies in F_{p^L}; so only the
+    divisors of L are tried, each by one modular power.
+    """
     big = p**degree - 1
     dlog %= big
     if dlog == 0:
         return UnramifiedPart(1, 0)
     order = big // gcd(big, dlog)
-    r = 1
-    while (p**r - 1) % order:
-        r += 1
+    r = next(
+        d for d in range(1, degree + 1)
+        if degree % d == 0 and pow(p, d, order) == 1
+    )
     return UnramifiedPart(r, dlog // (big // (p**r - 1)))
 
 

@@ -5,13 +5,16 @@ reads n-values, niveau and the residue-to-index map from one cached record
 per signature, and finds the least shift subset by an entrywise test of the
 2^f masks.  The versions here are the ones that came before: every m in
 (0, e*p*R) is tested, n-values and niveau are recomputed from the digit
-signature on every call, and shifted tuples are looked up in the
-candidate product of ``candidate_set``.  Of the package they use only its
-data types, its exceptions, ``exponent_class`` and ``candidate_set``.
+signature on every call, shifted tuples are looked up in the
+candidate product of ``candidate_set``, and the least field of an
+unramified value is found by trying every degree r = 1, 2, ... in turn.
+Of the package they use only its data types, its exceptions,
+``exponent_class`` and ``candidate_set``.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from serreweights import (
@@ -22,6 +25,7 @@ from serreweights import (
     NoMatchingIndex,
     NoValidShift,
     TameSignature,
+    UnramifiedPart,
     candidate_set,
     exponent_class,
 )
@@ -145,3 +149,16 @@ def minimal_shift_set_scan(
             f"valid shift subsets {sorted(map(sorted, valid))} have no least element"
         )
     return least
+
+
+def normalize_unram_scan(p: int, degree: int, dlog: int) -> UnramifiedPart:
+    """The least r with the value's order dividing p^r - 1, by a linear scan."""
+    big = p**degree - 1
+    dlog %= big
+    if dlog == 0:
+        return UnramifiedPart(1, 0)
+    order = big // gcd(big, dlog)
+    r = 1
+    while (p**r - 1) % order:
+        r += 1
+    return UnramifiedPart(r, dlog // (big // (p**r - 1)))

@@ -131,6 +131,32 @@ def test_oracle_report(capsys):
     assert doc["j_constructive"] == doc["j_bruteforce"] == doc["j_oracle"]
 
 
+ORACLE_F3 = ["oracle", "--p", "2", "--e", "1", "--f", "3", "--r=1,1,1",
+             "--chi1-exps=2,1,2", "--chi2-exps=1,2,1"]
+
+
+def test_negative_trunc_is_invalid_input(capsys, tmp_path):
+    assert run_command(ORACLE_F3 + ["--trunc", "-3"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: truncation degree must be >= 0, got -3\n"
+    )
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "params": {"p": 2, "e": 1, "f": 3},
+        "weight": {"r": [1, 1, 1]},
+        "chi1": {"exps": [2, 1, 2]},
+        "chi2": {"exps": [1, 2, 1]},
+        "oracle": {"trunc": -5},
+    }))
+    assert run_command(["oracle", "--problem", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: truncation degree must be >= 0, got -5\n"
+    )
+    # zero is a valid truncation, just too short for this instance
+    assert run_command(ORACLE_F3 + ["--trunc", "0"]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: dlog needed at degree ")
+
+
 def test_invalid_input_exits_2(capsys):
     assert run_command(["dims", "--p", "4", "--e", "1", "--f", "1",
                         "--chi-exps", "0"]) == 2
@@ -168,6 +194,17 @@ def run_python(args, timeout=60):
         [sys.executable] + args, capture_output=True, text=True, env=env,
         timeout=timeout,
     )
+
+
+def test_large_unramified_degree_exits_2():
+    """The least field of a degree-10^6 unramified value is found among the
+    divisors of 10^6, not by a scan over r = 1, 2, ...; the pair is then
+    rejected as bad input."""
+    done = run_python(["-m", "serreweights", "lv", "--p", "3", "--e", "1", "--f", "1",
+                       "--r=1", "--chi1-exps=1", "--chi2-exps=1",
+                       "--chi1-unram", "1000000:5"])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("invalid input: ")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -225,8 +262,14 @@ def test_csv_format_rejected_outside_sweep(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["dims", "--p", "3", "--e", "1", "--f", "1", "--chi-exps", "1"],
     ["sweep", "--p-max", "2", "--e-max", "1", "--f-max", "1"],
+    ["verify", "--p-max", "2", "--e-max", "1", "--f-max", "1"],
 ])
-def test_unwritable_out_is_invalid_input(capsys, tmp_path, argv):
+def test_unwritable_out_is_invalid_input(capsys, monkeypatch, tmp_path, argv):
+    """Found before any grid job runs."""
+    def no_jobs(*_):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(io_cli, "_mapped", no_jobs)
     out = tmp_path / "missing" / "report"
     assert run_command(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"invalid input: cannot write {out}: ")

@@ -5,12 +5,14 @@ f = 4, goes through the progression enumeration (``jump_profile``,
 ``window_cardinality``, ``w_prime``), the cached record (``i_m_index``,
 ``graded_dimension``) and the mask test of ``minimal_shift_set``; each
 answer, error included, must equal the scan oracle's in
-``tests/scan_reference.py``.
+``tests/scan_reference.py``.  So must the least field of an unramified
+value, over every degree L <= 12 at p <= 7.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -35,6 +37,7 @@ from serreweights import (
     window_cardinality,
 )
 from serreweights import weight_lattice
+from serreweights.tame_chars import _normalize_unram
 
 CELLS = [
     (p, e, f) for p in (2, 3, 5, 7) for e in (1, 2, 3) for f in (1, 2, 3)
@@ -201,3 +204,21 @@ def test_minimal_shift_set_bad_input_matches_scan(r, m):
     expected = outcome(scan.minimal_shift_set_scan, params, r, m)
     assert expected[0] is InvalidInput
     assert outcome(minimal_shift_set, params, r, m) == expected
+
+
+def _divisors(n: int):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_normalize_unram_matches_linear_scan(p):
+    """Every dlog while p^L - 1 <= 5000; above that, one dlog of each order,
+    since the least field depends on the dlog only through its order."""
+    for degree in range(1, 13):
+        big = p**degree - 1
+        dlogs = range(big) if big <= 5000 else [big // d for d in _divisors(big)]
+        for dlog in dlogs:
+            assert _normalize_unram(p, degree, dlog) == scan.normalize_unram_scan(
+                p, degree, dlog
+            ), (degree, dlog)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_reference
+import serreweights.series_oracle as series_oracle
 from serreweights import (
     FieldParams,
     InvalidInput,
@@ -25,6 +27,9 @@ from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
     UNIFORMIZER,
+    _ah_dlog_prefix,
+    _coherent_data,
+    _dlog_basis,
     default_truncation,
     dlog_truncated,
     epsilon_series,
@@ -88,6 +93,9 @@ def test_artin_hasse_dlog_identity(p):
         n *= p
     assert logd.coeffs == expect
     assert logd.trunc == bound
+    # the F_p division the dlog tables start from gives the same series
+    delta = _ah_dlog_prefix(p, bound)
+    assert {d: (fq.scalar(c),) for d, c in enumerate(delta) if c} == expect
 
 
 def test_dlog_examples():
@@ -175,6 +183,43 @@ def test_epsilon_unit_agrees_with_series_on_coherent_tuples():
         assert residue_trace_pairing(alg, probe, series) == (
             residue_trace_pairing(alg, probe, unit)
         )
+
+
+# (p, r, n): the two benchmark fields at their component counts, two small
+# subfield embeddings, and a field whose elements take two bytes per slot
+REFERENCE_FIELDS = [(2, 18, 9), (3, 12, 12), (2, 6, 3), (3, 4, 4), (11, 2, 2)]
+# trunc // m' reaches powers of 2, 3 and 11, the degrees where the dlog
+# of the Artin-Hasse series is nonzero
+REFERENCE_TRUNCS = (0, 1, 2, 4, 8, 9, 11, 16, 22, 27, 40)
+
+
+@pytest.mark.parametrize("p, r, n", REFERENCE_FIELDS)
+def test_dlog_basis_matches_the_per_exponent_reference(monkeypatch, p, r, n):
+    # fresh caches, so the table grows from nothing in this order of requests
+    monkeypatch.setattr(series_oracle, "_DLOG_TABLES", {})
+    monkeypatch.setattr(series_oracle, "_DLOG_BASIS_CACHE", {})
+    alg = TensorAlgebra(field(p, r), n)
+    cache = {}
+    beyond = max(REFERENCE_TRUNCS) + 1
+    for trunc in REFERENCE_TRUNCS + REFERENCE_TRUNCS[::-1]:
+        for m_prime in (1, 2, 3, 5, 7, beyond):
+            want = oracle_reference.dlog_basis(alg, m_prime, trunc, cache)
+            assert _dlog_basis(alg, m_prime, trunc) == want, (trunc, m_prime)
+
+
+@pytest.mark.parametrize("p, r, n", REFERENCE_FIELDS)
+def test_coherent_inverse_matches_gauss_jordan(p, r, n):
+    fq = field(p, r)
+    basis, inverse = _coherent_data(p, r, n)
+    assert basis == oracle_reference.coherent_basis(fq, n)
+    matrix = oracle_reference.component_matrix(basis)
+    assert inverse == oracle_reference.matrix_inverse(fq, matrix)
+    for t in range(n):
+        for s in range(n):
+            total = fq.zero
+            for i in range(n):
+                total = fq.add(total, fq.mul(inverse[t][i], matrix[i][s]))
+            assert total == (fq.one if t == s else fq.zero)
 
 
 def test_pairing_truncation_insufficient():
