@@ -24,10 +24,15 @@ product, a per-slot reduction mod p (``bytes.translate`` with a 256-entry
 table when w = 1, a loop over the slots otherwise), and folding of the
 slots at x^r and above by x^r = t(x), the packed negated modulus tail,
 until none are left.  ``add``, ``sub`` and ``neg`` are one integer
-addition plus the same reduction, and ``inv`` is the extended Euclidean
-algorithm.  The modulus search raises x to powers through the same packed
-product, once per candidate modulus.  Degree 1 is plain integer
+addition plus the same reduction; ``scale`` by an integer in [0, p) is one
+integer product, at most (p-1)^2 per slot, plus the same reduction; and
+``inv`` is the extended Euclidean algorithm.  Degree 1 is plain integer
 arithmetic mod p in a single slot.
+
+The modulus search walks the candidates in the pinned order.  Two exact
+sieves on the coefficients, O(log p) each, drop candidates that cannot
+qualify (see ``_find_modulus``); each survivor costs a few powers of x
+through the same packed product.
 
 There are no log or Zech tables: for the 2^18-element fields of the
 residue pairing a log/antilog pair would take about 19 MB, several times
@@ -159,14 +164,30 @@ class FiniteField:
         F_p[x]/(m) then has a nonzero non-unit and so fewer than p^r - 1
         units.  The first qualifying candidate is therefore the first
         irreducible one whose x is primitive.
+
+        Candidates are taken in the pinned order, and two sieves of O(log p)
+        each drop some before any power of x is taken.  Both are exact, so
+        the first qualifying candidate is the same with or without them:
+        - the norm (-1)^r c_0 of x must generate F_p^*, since for a primitive
+          x it is x^((p^r - 1)/(p - 1)), of order p - 1 (this also drops
+          c_0 = 0, where x is not a unit);
+        - for r > 1, 1 must not be a root: 1 + c_0 + ... + c_{r-1} = 0 (mod p)
+          means x - 1 divides m, so m is reducible.
+        There is no scan of all of F_p for roots, which would cost O(p) per
+        candidate at large p.
         """
         p, r = self.p, self.r
         unit_order = self.order - 1
         cofactors = [unit_order // ell for ell in prime_factors(unit_order)]
+        norm_cofactors = [(p - 1) // ell for ell in prime_factors(p - 1)]
+        sign = (-1) ** r
         for code in range(p**r):
             candidate = tuple(code // p**i % p for i in range(r))
-            if candidate[0] == 0:
-                continue  # x would not be a unit
+            norm = sign * candidate[0] % p
+            if not norm or any(pow(norm, n, p) == 1 for n in norm_cofactors):
+                continue
+            if r > 1 and (1 + sum(candidate)) % p == 0:
+                continue
             tail = self._pack([(-c) % p for c in candidate])
             x = self._x(candidate)
             if self._powmod(x, unit_order, tail) == self.one and all(
@@ -203,6 +224,10 @@ class FiniteField:
 
     def neg(self, a: Element) -> Element:
         return self._reduce(self._p_slots - int.from_bytes(a, "little"), self._size)
+
+    def scale(self, c: int, a: Element) -> Element:
+        """c a for an integer c: one slot-wise integer product, not a full mul."""
+        return self._reduce(c % self.p * int.from_bytes(a, "little"), self._size)
 
     def mul(self, a: Element, b: Element) -> Element:
         n = int.from_bytes(a, "little") * int.from_bytes(b, "little")

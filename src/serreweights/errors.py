@@ -8,9 +8,9 @@ supposed to be a theorem failed at runtime; the CLI maps these to exit code 1
 and they should be reported, never silenced.
 
 ``ResourceLimitExceeded`` is a third outcome: the question is valid, but
-answering it needs more than a named resource limit allows (today the
-coefficient-field degree cap of the residue-pairing oracle); the CLI maps it
-to exit code 3.
+answering it needs more than a named resource limit allows (the
+coefficient-field degree cap and the series truncation cap of the
+residue-pairing oracle); the CLI maps it to exit code 3.
 
 ``NoValidShift`` is none of these: it signals the legitimate empty outcome
 where no digit-shift subset realizes the required inertial class, so the

@@ -24,8 +24,21 @@ Lagrange interpolation.  The dlog v E'(v)/E(v) of the mod-p Artin-Hasse
 series E is found once per prime by plain series division over F_p, with
 coefficients delta_k.  Substituting v -> lam v is a ring map that commutes
 with v d/dv, so the dlog of a factor E(lam v) has coefficients
-delta_k lam^k, componentwise; one such table per field serves every
-exponent m' by re-expansion to degrees k m'.
+delta_k lam^k, componentwise, and u d/du = m' v d/dv at v = u^{m'}.  A
+tuple with coherent coordinates beta therefore has a unit whose dlog, at
+u^{k m'} and component i, is (m' delta_k mod p) P(x_i^k) with
+P(X) = sum_t beta_t X^t: the same sum as the beta-combination of the
+factors' dlogs, sum_t beta_t (x_i^t)^k, taken in a different order.  P is
+evaluated by Horner's rule at the points x_i^k, read from one table of
+conjugate powers per field, and the F_p factor is applied once per
+coefficient.
+
+The mod-p Artin-Hasse coefficients come from two routes that must agree:
+the exponential recurrence in exact fractions, and the product over n of
+(1 - x^n)^{-mu(n)/n}, whose binomial coefficients mod p are products of
+digit binomials by Lucas's theorem.  The series length is capped at
+``_MAX_TRUNCATION``, a resource limit checked before any field or series
+is built.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidInput,
     NonUnitConstantTerm,
+    ResourceLimitExceeded,
     RouteMismatch,
     TruncationInsufficient,
 )
@@ -54,10 +68,6 @@ from .serre_basis import (
 )
 from .tame_chars import CharacterData, FieldParams, niveau
 from .weight_lattice import WeightProfile
-
-# The finite coefficient field doubles as the oracle configuration: it
-# carries p, the extension degree r, and the pinned modulus.
-FqConfig = FiniteField
 
 # ---------------------------------------------------------------------------
 # Artin-Hasse coefficients
@@ -106,31 +116,25 @@ def _moebius(n: int) -> int:
     return mu
 
 
-def _padic_binomial_mod_p(p: int, exponent: int, k: int, precision: int) -> int:
-    """binomial(e, k) mod p for a p-adic integer e given mod p^precision."""
-    if k == 0:
-        return 1
-    numerator = 1
-    modulus = p**precision
-    for i in range(k):
-        numerator = numerator * (exponent - i) % modulus
-    v = 0
-    unit = 1
-    for i in range(1, k + 1):
-        m = i
-        while m % p == 0:
-            m //= p
-            v += 1
-        unit = unit * m % modulus
-    if numerator % p**v:
-        raise IntegralityViolation(f"binomial({exponent}, {k}) is not p-integral")
-    return (numerator // p**v) * pow(unit, -1, p) % p
-
-
 def _artin_hasse_moebius(p: int, trunc: int) -> Tuple[int, ...]:
-    """Mod-p coefficients via prod_{(n,p)=1} (1 - x^n)^{-mu(n)/n}."""
-    precision = trunc + 2  # covers v_p(k!) + 1 for every k <= trunc
-    modulus = p**precision
+    """Mod-p coefficients via prod_{(n,p)=1} (1 - x^n)^{-mu(n)/n}.
+
+    binomial(e, k) mod p for the p-adic exponent e = -mu(n)/n is, by
+    Lucas's theorem, the product of binomial(e_j, k_j) mod p over the
+    base-p digits of e and k.  The theorem holds for p-adic e because
+    binomial(e, k) mod p depends only on e mod p^L once p^L > k, so the
+    digits of e mod p^L with p^L > trunc serve every k <= trunc.  For each
+    digit e_j the factors binomial(e_j, b), b up to the largest digit k_j
+    that occurs, come from one row by binomial(a, b) = binomial(a, b - 1)
+    (a - b + 1) / b, with the inverses of 1..min(p - 1, trunc) found once.
+    """
+    digits = 1
+    while p**digits <= trunc:
+        digits += 1
+    modulus = p**digits
+    inverse = [0, 1]
+    for b in range(2, min(p - 1, trunc) + 1):
+        inverse.append(-(p // b) * inverse[p % b] % p)
     result = [0] * (trunc + 1)
     result[0] = 1
     for n in range(1, trunc + 1):
@@ -140,16 +144,33 @@ def _artin_hasse_moebius(p: int, trunc: int) -> Tuple[int, ...]:
         if mu == 0:
             continue
         exponent = -mu * pow(n, -1, modulus) % modulus
-        factor = [0] * (trunc + 1)
-        for k in range(trunc // n + 1):
-            c = _padic_binomial_mod_p(p, exponent, k, precision)
-            factor[n * k] = c * (-1) ** k % p
+        top = trunc // n
+        rows = []  # rows[j][b] = binomial(e_j, b) mod p for every digit b of k <= top
+        place = 1
+        while place <= top:
+            a = exponent // place % p
+            row = [1]
+            for b in range(1, min(p - 1, top // place) + 1):
+                row.append(row[-1] * (a - b + 1) * inverse[b] % p)
+            rows.append(row)
+            place *= p
+        terms = []  # (degree, coefficient) of (1 - x^n)^exponent, ascending
+        for k in range(top + 1):
+            c = (-1) ** k % p
+            rest, j = k, 0
+            while rest and c:
+                c = c * rows[j][rest % p] % p
+                rest //= p
+                j += 1
+            if c:
+                terms.append((n * k, c))
         merged = [0] * (trunc + 1)
         for i, a in enumerate(result):
             if a:
-                for j in range(0, trunc + 1 - i, n):
-                    if factor[j]:
-                        merged[i + j] = (merged[i + j] + a * factor[j]) % p
+                for j, c in terms:
+                    if i + j > trunc:
+                        break
+                    merged[i + j] = (merged[i + j] + a * c) % p
         result = merged
     return tuple(result)
 
@@ -170,8 +191,8 @@ def artin_hasse_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
 
 
 def _bucket(trunc: int) -> int:
-    """The power-of-two cache bucket (at least 64) that covers degree trunc."""
-    return max(64, 1 << trunc.bit_length())
+    """The least power of two (at least 64) that covers degree trunc."""
+    return max(64, 1 << (trunc - 1).bit_length())
 
 
 def _ah_prefix(p: int, trunc: int) -> Tuple[int, ...]:
@@ -289,30 +310,6 @@ def _known_up_to(a: LaurentElement, b: LaurentElement) -> Optional[int]:
     return min(bounds) if bounds else None
 
 
-def series_add(alg: TensorAlgebra, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    trunc = None
-    for t in (a.trunc, b.trunc):
-        if t is not None:
-            trunc = t if trunc is None else min(trunc, t)
-    out: Dict[int, TensorScalar] = {}
-    for d in set(a.coeffs) | set(b.coeffs):
-        if trunc is not None and d > trunc:
-            continue
-        c = alg.add(a.coeffs.get(d, alg.zero), b.coeffs.get(d, alg.zero))
-        if not alg.is_zero(c):
-            out[d] = c
-    return LaurentElement(out, trunc)
-
-
-def series_scale(alg: TensorAlgebra, c: TensorScalar, a: LaurentElement) -> LaurentElement:
-    out = {}
-    for d, x in a.coeffs.items():
-        y = alg.mul(c, x)
-        if not alg.is_zero(y):
-            out[d] = y
-    return LaurentElement(out, a.trunc)
-
-
 def series_mul(alg: TensorAlgebra, a: LaurentElement, b: LaurentElement) -> LaurentElement:
     trunc = _known_up_to(a, b)
     out: Dict[int, TensorScalar] = {}
@@ -400,21 +397,23 @@ def epsilon_series(
 @lru_cache(maxsize=None)
 def _coherent_data(
     p: int, r: int, n: int
-) -> Tuple[Tuple[TensorScalar, ...], Tuple[Tuple[Element, ...], ...]]:
-    """Basis tuples of the embedded degree-n residue field, and the inverse
-    of their component matrix (for decomposing arbitrary tuples).
+) -> Tuple[Tuple[Element, ...], Tuple[Tuple[Element, ...], ...]]:
+    """The conjugates x_i of the embedded degree-n residue field's generator,
+    and the inverse of the coherent basis matrix (for decomposing arbitrary
+    tuples).
 
-    Component i of basis tuple t is x_i^t, where x_i is the conjugate
-    g^(p^((n - i) mod n)) of the subfield generator g, so the component
-    matrix (x_i^t)_{i,t} is a Vandermonde matrix in the n distinct x_i.
+    x_i is the conjugate g^(p^((n - i) mod n)) of the subfield generator g,
+    found by repeated p-th powers.  Component i of coherent basis tuple t
+    is x_i^t, so the component matrix (x_i^t)_{i,t} is a Vandermonde matrix
+    in the n distinct x_i.
     """
     fq = field(p, r)
-    gen = fq.subfield_generator(n)
-    xs = tuple(fq.frobenius(gen, (n - i) % n) for i in range(n))
-    basis = [(fq.one,) * n]
-    for _ in range(n - 1):
-        basis.append(tuple(fq.mul(b, x) for b, x in zip(basis[-1], xs)))
-    return tuple(basis), _vandermonde_inverse(fq, xs)
+    xs = [fq.zero] * n
+    x = fq.subfield_generator(n)
+    for j in range(n):
+        xs[-j % n] = x
+        x = fq.pow(x, p)
+    return tuple(xs), _vandermonde_inverse(fq, tuple(xs))
 
 
 def _vandermonde_inverse(
@@ -452,79 +451,34 @@ def _vandermonde_inverse(
 
 
 def decompose_coherent(alg: TensorAlgebra, lam: TensorScalar) -> Tuple[Element, ...]:
-    """Coefficients of lam over the coherent basis, by the cached inverse."""
+    """Coefficients of lam over the coherent basis, by the cached inverse;
+    zero components of lam cost nothing."""
     _, inverse = _coherent_data(alg.fq.p, alg.fq.r, alg.n)
     fq = alg.fq
+    support = [(i, x) for i, x in enumerate(lam) if x != fq.zero]
     out = []
-    for t in range(alg.n):
+    for row in inverse:
         total = fq.zero
-        for i in range(alg.n):
-            total = fq.add(total, fq.mul(inverse[t][i], lam[i]))
+        for i, x in support:
+            total = fq.add(total, fq.mul(row[i], x))
         out.append(total)
     return tuple(out)
 
 
-# Per (p, r, n): the bound reached and one row per coherent basis tuple lam,
-# mapping each degree k <= bound with delta_k lam^k nonzero to that tuple.
-_DLOG_TABLES: Dict[Tuple[int, int, int], Tuple[int, Tuple[Dict[int, TensorScalar], ...]]] = {}
+# Per (p, r, n): the componentwise powers (x_0^k, ..., x_{n-1}^k) of the
+# conjugates, for each degree k that a unit's dlog has needed so far.
+_CONJUGATE_POWERS: Dict[Tuple[int, int, int], Dict[int, Tuple[Element, ...]]] = {}
 
 
-def _dlog_table(alg: TensorAlgebra, bound: int) -> Tuple[Dict[int, TensorScalar], ...]:
-    """The compressed dlog v E'(lam v)/E(lam v) of each coherent basis tuple.
-
-    Its coefficient at v^k is delta_k lam^k (componentwise powers), so each
-    distinct component value is raised once per degree with delta_k nonzero.
-    One table per field, grown in place to the largest bound requested; rows
-    may reach past ``bound``.
-    """
-    fq = alg.fq
-    key = (fq.p, fq.r, alg.n)
-    basis, _ = _coherent_data(*key)
-    done, rows = _DLOG_TABLES.get(key, (0, tuple({} for _ in basis)))
-    if done >= bound:
-        return rows
-    values = {x for t in basis for x in t}
-    delta = _ah_dlog_prefix(fq.p, bound)
-    for k in range(done + 1, bound + 1):
-        if not delta[k]:
-            continue
-        c = fq.scalar(delta[k])
-        powers = {x: fq.mul(c, fq.pow(x, k)) for x in values}
-        for row, t in zip(rows, basis):
-            coeff = tuple(powers[x] for x in t)
-            if not alg.is_zero(coeff):
-                row[k] = coeff
-    _DLOG_TABLES[key] = (bound, rows)
-    return rows
-
-
-_DLOG_BASIS_CACHE: Dict[Tuple[int, int, int, int], Tuple[int, Tuple[LaurentElement, ...]]] = {}
-
-
-def _dlog_basis(alg: TensorAlgebra, m_prime: int, trunc: int) -> Tuple[LaurentElement, ...]:
-    """dlog of the Artin-Hasse factor of each coherent basis tuple.
-
-    The factor E(lam u^{m'}) is the compressed series E(lam v) at v = u^{m'},
-    and u d/du = m' v d/dv, so its dlog is the field's compressed table up to
-    v^(trunc // m'), scaled by m' and re-expanded to degrees k m'; cached per
-    (field, n, m') and rebuilt when a larger truncation is requested.
-    """
-    key = (alg.fq.p, alg.fq.r, alg.n, m_prime)
-    cached = _DLOG_BASIS_CACHE.get(key)
-    if cached is not None and cached[0] >= trunc:
-        return cached[1]
-    v_trunc = trunc // m_prime
-    scale = alg.fq.scalar(m_prime % alg.fq.p)
-    u_trunc = (v_trunc + 1) * m_prime - 1
-    result = tuple(
-        LaurentElement(
-            {k * m_prime: alg.scale(scale, c) for k, c in row.items() if k <= v_trunc},
-            u_trunc,
-        )
-        for row in _dlog_table(alg, v_trunc)
-    )
-    _DLOG_BASIS_CACHE[key] = (trunc, result)
-    return result
+def _conjugate_powers(fq: FiniteField, n: int, k: int) -> Tuple[Element, ...]:
+    """(x_i^k)_i, one ``pow`` per conjugate, kept in the field's table."""
+    key = (fq.p, fq.r, n)
+    table = _CONJUGATE_POWERS.setdefault(key, {})
+    row = table.get(k)
+    if row is None:
+        xs, _ = _coherent_data(*key)
+        row = table[k] = tuple(fq.pow(x, k) for x in xs)
+    return row
 
 
 @dataclass
@@ -541,21 +495,41 @@ def epsilon_unit(
 ) -> ArtinHasseUnit:
     """The Artin-Hasse unit of an arbitrary tuple at exponent m'.
 
-    The tuple is decomposed over the coherent basis; each basis vector
-    contributes one honestly dlog-ed factor, combined linearly by the
-    exterior scalars of the decomposition.
+    The tuple is decomposed as lam = sum_t beta_t b_t over the coherent
+    basis tuples b_t = (x_i^t)_i, and the unit combines the honest factors
+    E(b_t u^{m'}) with the exterior scalars beta_t, so its dlog is
+    sum_t beta_t dlog E(b_t u^{m'}).  With v = u^{m'}, u d/du = m' v d/dv
+    and dlog E(b_t v) has delta_k (x_i^t)^k at v^k, so the unit's dlog at
+    u^{k m'}, component i, is (m' delta_k mod p) P(x_i^k) with
+    P(X) = sum_t beta_t X^t.  P is evaluated by Horner's rule, once per
+    distinct point x_i^k, and the F_p factor is applied once per
+    coefficient.
     """
     if m_prime < 1:
         raise InvalidInput(f"the u-exponent must be >= 1, got {m_prime}")
-    betas = decompose_coherent(alg, lam)
-    parts = _dlog_basis(alg, m_prime, trunc)
-    u_trunc = (trunc // m_prime + 1) * m_prime - 1
-    total = LaurentElement({}, u_trunc)
-    for beta, part in zip(betas, parts):
-        if beta == alg.fq.zero:
+    fq = alg.fq
+    top, *lower = reversed(decompose_coherent(alg, lam))  # beta_{n-1}, ..., beta_0
+    v_trunc = trunc // m_prime
+    values: Dict[Element, Element] = {}  # P at each point met so far
+    coeffs: Dict[int, TensorScalar] = {}
+    for k, delta in enumerate(_ah_dlog_prefix(fq.p, v_trunc)):
+        c = m_prime * delta % fq.p
+        if not c:
             continue
-        total = series_add(alg, total, series_scale(alg, alg.scalar(beta), part))
-    return ArtinHasseUnit(lam, m_prime, total)
+        row = []
+        for x in _conjugate_powers(fq, alg.n, k):
+            y = values.get(x)
+            if y is None:
+                y = top
+                for beta in lower:
+                    y = fq.add(fq.mul(y, x), beta)
+                values[x] = y
+            row.append(y)
+        if c != 1:
+            row = [fq.scale(c, y) for y in row]
+        if any(y != fq.zero for y in row):
+            coeffs[k * m_prime] = tuple(row)
+    return ArtinHasseUnit(lam, m_prime, LaurentElement(coeffs, (v_trunc + 1) * m_prime - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +618,16 @@ def required_degree(params: FieldParams, chi: CharacterData) -> int:
     return lcm(params.f * mu_order(params, chi), chi.unram.order_field_degree)
 
 
+# The longest series the oracle builds, a resource limit rather than a
+# validity condition.  ``default_truncation`` is about 2 e p, so without it
+# an oracle query at a large prime would allocate series of billions of
+# terms.  Both Artin-Hasse routes run to the cache bucket of the
+# truncation, the cap itself here, and the exponential route in exact
+# fractions grows about as the cube: at the cap a cold instance takes a few
+# seconds (p = 2: ~5 s), and the next bucket would take ten times that.
+_MAX_TRUNCATION = 2048
+
+
 def default_truncation(params: FieldParams, profile: WeightProfile, e_m: int) -> int:
     q1 = params.tame_order
     xi_top = max(xi * e_m // q1 for xi in profile.xi)
@@ -672,6 +656,12 @@ def rederive_jvah(
         e_m = params.tame_order
     validate_e_m(params, chi, e_m)
     _check_profile_chi(params, profile, chi)
+    if trunc is None:
+        trunc = default_truncation(params, profile, e_m)
+    if trunc > _MAX_TRUNCATION:
+        raise ResourceLimitExceeded(
+            f"truncation degree {trunc} exceeds the supported cap {_MAX_TRUNCATION}"
+        )
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m
@@ -690,8 +680,6 @@ def rederive_jvah(
         raise InternalInvariantViolation("embedded unramified value has wrong order")
     n_components = f * order
     alg = TensorAlgebra(fq, n_components)
-    if trunc is None:
-        trunc = default_truncation(params, profile, e_m)
     xi_scaled = tuple(xi * e_m // q1 for xi in profile.xi)
     f_prime, f_dprime = niveau(params, chi.signature)
     spanning = []

@@ -1,20 +1,28 @@
-"""The per-exponent dlog basis and the Gauss-Jordan inverse, kept as test oracles.
+"""Earlier versions of the oracle's series code, kept as test oracles.
 
-The package builds one compressed dlog table per coefficient field, with
-coefficients delta_k lam^k from a single division over F_p, serves every
-exponent m' from it, and inverts the coherent basis matrix as a Vandermonde
-matrix by Lagrange interpolation.  The versions here are the ones that came
-before: the basis tuples are Frobenius images of the powers of the subfield
-generator, each exponent m' gets its own compressed series E(lam v) from
-``epsilon_series`` divided by ``dlog_truncated`` over the tensor ring, and
-the component matrix is inverted by Gauss-Jordan elimination.  Of the
-package they use only the finite fields, the tensor ring and those two
-public series functions.
+The package decomposes a tuple over the coherent basis and evaluates the
+unit's dlog in Horner form, (m' delta_k mod p) P(x_i^k), from one table of
+conjugate powers per field; it inverts the coherent basis matrix as a
+Vandermonde matrix by Lagrange interpolation; and its Moebius route takes
+each binomial(e, k) mod p from the base-p digits of e (Lucas).  The
+versions here are the ones that came before:
+
+- the basis tuples are Frobenius images of the powers of the subfield
+  generator, each exponent m' gets its own compressed series E(lam v) from
+  ``epsilon_series`` divided by ``dlog_truncated`` over the tensor ring,
+  and a unit's dlog is the beta-scaled sum of those series;
+- the component matrix is inverted by Gauss-Jordan elimination;
+- binomial(e, k) mod p is a product of k factors modulo p^(trunc + 2).
+
+Of the package they use only the finite fields, the tensor ring and those
+two public series functions.
 """
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from serreweights.errors import InternalInvariantViolation
+from serreweights._gf import field
+from serreweights.errors import IntegralityViolation, InternalInvariantViolation
 from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
@@ -94,3 +102,119 @@ def dlog_basis(
     result = tuple(dlogs)
     cache[key] = (trunc, result)
     return result
+
+
+@lru_cache(maxsize=None)
+def coherent_inverse(p: int, r: int, n: int) -> Tuple[Tuple[bytes, ...], ...]:
+    """The Gauss-Jordan inverse of the coherent basis matrix of F_{p^r}."""
+    fq = field(p, r)
+    return matrix_inverse(fq, component_matrix(coherent_basis(fq, n)))
+
+
+def series_add(alg: TensorAlgebra, a: LaurentElement, b: LaurentElement) -> LaurentElement:
+    trunc = None
+    for t in (a.trunc, b.trunc):
+        if t is not None:
+            trunc = t if trunc is None else min(trunc, t)
+    out: Dict[int, Tuple[bytes, ...]] = {}
+    for d in set(a.coeffs) | set(b.coeffs):
+        if trunc is not None and d > trunc:
+            continue
+        c = alg.add(a.coeffs.get(d, alg.zero), b.coeffs.get(d, alg.zero))
+        if not alg.is_zero(c):
+            out[d] = c
+    return LaurentElement(out, trunc)
+
+
+def series_scale(alg: TensorAlgebra, c, a: LaurentElement) -> LaurentElement:
+    out = {}
+    for d, x in a.coeffs.items():
+        y = alg.mul(c, x)
+        if not alg.is_zero(y):
+            out[d] = y
+    return LaurentElement(out, a.trunc)
+
+
+def epsilon_unit_dlog(
+    alg: TensorAlgebra, lam, m_prime: int, trunc: int, cache: DlogCache
+) -> LaurentElement:
+    """The dlog of the Artin-Hasse unit of lam at m', as a series sum.
+
+    lam is decomposed over the coherent basis by the Gauss-Jordan inverse,
+    and the basis dlogs from ``dlog_basis`` are combined by the scalars.
+    """
+    fq = alg.fq
+    inverse = coherent_inverse(fq.p, fq.r, alg.n)
+    u_trunc = (trunc // m_prime + 1) * m_prime - 1
+    total = LaurentElement({}, u_trunc)
+    for row, part in zip(inverse, dlog_basis(alg, m_prime, trunc, cache)):
+        beta = fq.zero
+        for a, x in zip(row, lam):
+            beta = fq.add(beta, fq.mul(a, x))
+        if beta != fq.zero:
+            total = series_add(alg, total, series_scale(alg, alg.scalar(beta), part))
+    return total
+
+
+def moebius(n: int) -> int:
+    mu = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    if n > 1:
+        mu = -mu
+    return mu
+
+
+def padic_binomial_mod_p(p: int, exponent: int, k: int, precision: int) -> int:
+    """binomial(e, k) mod p for a p-adic integer e given mod p^precision."""
+    if k == 0:
+        return 1
+    numerator = 1
+    modulus = p**precision
+    for i in range(k):
+        numerator = numerator * (exponent - i) % modulus
+    v = 0
+    unit = 1
+    for i in range(1, k + 1):
+        m = i
+        while m % p == 0:
+            m //= p
+            v += 1
+        unit = unit * m % modulus
+    if numerator % p**v:
+        raise IntegralityViolation(f"binomial({exponent}, {k}) is not p-integral")
+    return (numerator // p**v) * pow(unit, -1, p) % p
+
+
+def artin_hasse_moebius(p: int, trunc: int) -> Tuple[int, ...]:
+    """Mod-p coefficients via prod_{(n,p)=1} (1 - x^n)^{-mu(n)/n}, each
+    binomial coefficient from k factors."""
+    precision = trunc + 2  # covers v_p(k!) + 1 for every k <= trunc
+    modulus = p**precision
+    result = [0] * (trunc + 1)
+    result[0] = 1
+    for n in range(1, trunc + 1):
+        if n % p == 0:
+            continue
+        mu = moebius(n)
+        if mu == 0:
+            continue
+        exponent = -mu * pow(n, -1, modulus) % modulus
+        factor = [0] * (trunc + 1)
+        for k in range(trunc // n + 1):
+            c = padic_binomial_mod_p(p, exponent, k, precision)
+            factor[n * k] = c * (-1) ** k % p
+        merged = [0] * (trunc + 1)
+        for i, a in enumerate(result):
+            if a:
+                for j in range(0, trunc + 1 - i, n):
+                    if factor[j]:
+                        merged[i + j] = (merged[i + j] + a * factor[j]) % p
+        result = merged
+    return tuple(result)

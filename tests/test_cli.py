@@ -183,6 +183,41 @@ def test_resource_limit_exits_3(capsys):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
+# default_truncation is about 2 e p, here about 2 * 10^9
+ORACLE_LARGE_P = ["oracle", "--p", "1000000007", "--e", "1", "--f", "1", "--r=1",
+                  "--chi1-exps=1", "--chi2-exps=0"]
+
+
+def test_truncation_cap_exits_3_before_any_series(capsys):
+    start = time.perf_counter()
+    assert run_command(ORACLE_LARGE_P) == 3
+    assert time.perf_counter() - start < 60.0  # no series of 2 * 10^9 terms
+    assert capsys.readouterr().err == (
+        "resource limit: truncation degree 2000000014 exceeds the supported cap 2048\n"
+    )
+    # an explicit truncation above the cap is the same outcome, and one
+    # below it is not a resource limit
+    assert run_command(ORACLE_F3 + ["--trunc", "2049"]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: truncation degree 2049 exceeds the supported cap 2048\n"
+    )
+    assert run_command(ORACLE_F3 + ["--trunc", "60"]) == 0
+    capsys.readouterr()
+
+
+def test_oracle_at_p13_agrees(capsys):
+    """The (13, 1, 2) instance whose Moebius route used to take seconds."""
+    code, doc = run_json(
+        capsys,
+        ["oracle", "--p", "13", "--e", "1", "--f", "2", "--r=12,1",
+         "--chi1-exps=12,13", "--chi2-exps=11,13"],
+    )
+    assert code == 0
+    assert doc["agree"] is True and doc["status"] == "ok"
+    assert doc["j_constructive"] == doc["j_bruteforce"] == doc["j_oracle"]
+    assert doc["j_oracle"]
+
+
 def run_python(args, timeout=60):
     """A fresh interpreter that imports this checkout's package."""
     src = str(Path(serreweights.__file__).resolve().parent.parent)

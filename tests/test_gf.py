@@ -57,7 +57,11 @@ def test_pinned_moduli_are_frozen(pr):
     assert field(*pr).modulus == PINNED[pr]
 
 
-@pytest.mark.parametrize("p, r_max", [(2, 12), (3, 8), (5, 5), (7, 4), (257, 2)])
+# At p = 11 and 13 the norm sieve keeps 4 of the p constant terms c_0, those
+# with (-1)^r c_0 a generator of F_p^*, and the sign matters for odd r.
+@pytest.mark.parametrize(
+    "p, r_max", [(2, 12), (3, 8), (5, 5), (7, 4), (11, 3), (13, 3), (257, 2)]
+)
 def test_modulus_search_matches_reference(p, r_max):
     for r in range(1, r_max + 1):
         assert FiniteField(p, r).modulus == gf_reference.FiniteField(p, r).modulus
@@ -79,6 +83,8 @@ def test_ring_operations_match_reference(pair):
         assert co(fq.add(x, y)) == ref.add(u, v)
         assert co(fq.sub(x, y)) == ref.sub(u, v)
         assert co(fq.neg(x)) == ref.neg(u)
+        for c in (0, 1, fq.p - 1, fq.p + 2):
+            assert co(fq.scale(c, x)) == ref.mul(ref.element([c]), u)
 
 
 def test_inverse_matches_reference(pair):

@@ -1,5 +1,6 @@
 """Artin-Hasse series, truncated Laurent arithmetic, and the re-derivation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from serreweights import (
     FieldParams,
     InvalidInput,
     NonUnitConstantTerm,
+    ResourceLimitExceeded,
     TruncationInsufficient,
     UnramifiedPart,
     artin_hasse_mod_p,
@@ -27,9 +29,10 @@ from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
     UNIFORMIZER,
+    _MAX_TRUNCATION,
     _ah_dlog_prefix,
+    _artin_hasse_moebius,
     _coherent_data,
-    _dlog_basis,
     default_truncation,
     dlog_truncated,
     epsilon_series,
@@ -185,32 +188,60 @@ def test_epsilon_unit_agrees_with_series_on_coherent_tuples():
         )
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 13])
+def test_lucas_moebius_route_matches_the_per_k_reference(p):
+    # the digit count L of the exponent changes at each power of p
+    for trunc in sorted({0, 1, 2, p - 1, p, p + 1, p * p - 1, p * p, 100, 255, 256}):
+        assert _artin_hasse_moebius(p, trunc) == (
+            oracle_reference.artin_hasse_moebius(p, trunc)
+        ), trunc
+
+
 # (p, r, n): the two benchmark fields at their component counts, two small
-# subfield embeddings, and a field whose elements take two bytes per slot
-REFERENCE_FIELDS = [(2, 18, 9), (3, 12, 12), (2, 6, 3), (3, 4, 4), (11, 2, 2)]
+# subfield embeddings, a field whose elements take two bytes per slot, and
+# a single component
+REFERENCE_FIELDS = [(2, 18, 9), (3, 12, 12), (2, 6, 3), (3, 4, 4), (11, 2, 2), (3, 2, 1)]
 # trunc // m' reaches powers of 2, 3 and 11, the degrees where the dlog
 # of the Artin-Hasse series is nonzero
 REFERENCE_TRUNCS = (0, 1, 2, 4, 8, 9, 11, 16, 22, 27, 40)
 
 
+def _reference_tuples(fq, n):
+    """The zero tuple, a full random tuple, and one with every other
+    component zero (as the eigenvector tuples are)."""
+    rng = random.Random(fq.order * 31 + n)
+
+    def draw():
+        return fq.element([rng.randrange(fq.p) for _ in range(fq.r)])
+
+    full = tuple(draw() for _ in range(n))
+    sparse = tuple(draw() if i % 2 == 0 else fq.zero for i in range(n))
+    return [(fq.zero,) * n, full, sparse]
+
+
 @pytest.mark.parametrize("p, r, n", REFERENCE_FIELDS)
-def test_dlog_basis_matches_the_per_exponent_reference(monkeypatch, p, r, n):
-    # fresh caches, so the table grows from nothing in this order of requests
-    monkeypatch.setattr(series_oracle, "_DLOG_TABLES", {})
-    monkeypatch.setattr(series_oracle, "_DLOG_BASIS_CACHE", {})
+def test_epsilon_unit_matches_the_series_combination_reference(monkeypatch, p, r, n):
+    # a fresh conjugate-power table, so it grows from nothing in this order
+    # of requests; m' = beyond exceeds every truncation
+    monkeypatch.setattr(series_oracle, "_CONJUGATE_POWERS", {})
     alg = TensorAlgebra(field(p, r), n)
     cache = {}
     beyond = max(REFERENCE_TRUNCS) + 1
     for trunc in REFERENCE_TRUNCS + REFERENCE_TRUNCS[::-1]:
         for m_prime in (1, 2, 3, 5, 7, beyond):
-            want = oracle_reference.dlog_basis(alg, m_prime, trunc, cache)
-            assert _dlog_basis(alg, m_prime, trunc) == want, (trunc, m_prime)
+            for lam in _reference_tuples(alg.fq, n):
+                want = oracle_reference.epsilon_unit_dlog(alg, lam, m_prime, trunc, cache)
+                got = epsilon_unit(alg, lam, m_prime, trunc).dlog
+                assert (got.coeffs, got.trunc) == (want.coeffs, want.trunc), (
+                    trunc, m_prime, lam,
+                )
 
 
 @pytest.mark.parametrize("p, r, n", REFERENCE_FIELDS)
 def test_coherent_inverse_matches_gauss_jordan(p, r, n):
     fq = field(p, r)
-    basis, inverse = _coherent_data(p, r, n)
+    xs, inverse = _coherent_data(p, r, n)
+    basis = tuple(tuple(fq.pow(x, t) for x in xs) for t in range(n))
     assert basis == oracle_reference.coherent_basis(fq, n)
     matrix = oracle_reference.component_matrix(basis)
     assert inverse == oracle_reference.matrix_inverse(fq, matrix)
@@ -289,6 +320,24 @@ def test_rederive_fixture_f3_empty():
     prof = ts_profile(FP_F3, (3,), chi1, chi2)
     quot = char_quotient(FP_F3, chi1, chi2)
     assert rederive_jvah(FP_F3, prof, quot) == frozenset()
+
+
+def test_truncation_cap_is_checked_before_any_field(monkeypatch):
+    prof, quot = _fixture_f1()
+
+    def no_field(p, r):
+        raise AssertionError("a field was built above the truncation cap")
+
+    monkeypatch.setattr(series_oracle, "field", no_field)
+    with pytest.raises(ResourceLimitExceeded, match="truncation degree"):
+        rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=_MAX_TRUNCATION + 1)
+    monkeypatch.undo()
+    # the cap itself is a valid request (shown at a lowered cap, where the
+    # series are cheap)
+    monkeypatch.setattr(series_oracle, "_MAX_TRUNCATION", 40)
+    assert rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=40) == j_v_ah(FP_F1, prof, quot, 2)
+    with pytest.raises(ResourceLimitExceeded):
+        rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=41)
 
 
 def test_rederive_with_nontrivial_unramified_part():
