@@ -25,7 +25,6 @@ from .tame_chars import (
     _derived,
     _matching_numerators,
     niveau,
-    validate_character,
 )
 
 Level = Union[int, Fraction]
@@ -50,7 +49,6 @@ class JumpProfile:
 
 def h1_dimension(params: FieldParams, chi: CharacterData) -> int:
     """Total dimension: ef plus one for each of the two degenerate cases."""
-    validate_character(params, chi)
     extra = int(chi.declared_trivial) + int(chi.declared_cyclotomic)
     return params.e * params.f + extra
 
@@ -66,7 +64,6 @@ def _matching_indices(params: FieldParams, chi: CharacterData, m: int) -> int:
 
 def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
     """Dimension of the graded piece at filtration level ``s``."""
-    validate_character(params, chi)
     s = Fraction(s)
     if s < 0:
         raise InvalidInput(f"filtration level must be >= 0, got {s}")
@@ -85,7 +82,6 @@ def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
 
 def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
     """Enumerate every jump and check the total against ``h1_dimension``."""
-    validate_character(params, chi)
     entries = []
     if chi.declared_trivial:
         entries.append((Fraction(0), 1))
@@ -114,7 +110,6 @@ def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
 def window_cardinality(params: FieldParams, chi: CharacterData, j: int) -> int:
     """Count pairs (m, i) with jp/(p-1) < m/(p^f - 1) < (j+1)p/(p-1),
     p not dividing m, and m congruent to n_i; always equals f."""
-    validate_character(params, chi)
     if not 0 <= j < params.e:
         raise InvalidInput(f"window index must lie in [0, e), got {j}")
     lo = j * params.p * params.repunit

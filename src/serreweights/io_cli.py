@@ -107,7 +107,9 @@ def _as_int(value, where: str) -> int:
 
 def _int_at(doc: dict, key: str, path: str, required: bool = True) -> Optional[int]:
     value = _node(doc, key, path, required)
-    return None if value is None else _as_int(value, f"{path}.{key}")
+    if value is None and not required:
+        return None
+    return _as_int(value, f"{path}.{key}")
 
 
 def _bool_at(doc: dict, key: str, path: str) -> Optional[bool]:

@@ -32,12 +32,12 @@ from .tame_chars import (
     FieldParams,
     _derived,
     _matching_numerators,
-    canonical_signature,
     char_quotient,
+    exponent_class,
     is_unramified,
     n_values,
     niveau,
-    validate_character,
+    signature_class,
 )
 from .weight_lattice import SerreWeight, WeightProfile, ts_profile, twist_normalize
 
@@ -92,7 +92,6 @@ class BasisLabel:
 
 def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
     """All window integers congruent to some n_i, ascending; |W'| = e*f'."""
-    validate_character(params, chi)
     top = params.e * params.p * params.repunit
     return tuple(m for m, _ in _matching_numerators(params, chi.signature, 0, top))
 
@@ -146,7 +145,7 @@ def _check_profile_chi(
     params: FieldParams, profile: WeightProfile, chi: CharacterData
 ) -> None:
     diff = tuple(si - ti for si, ti in zip(profile.s, profile.t))
-    if canonical_signature(params, diff) != chi.signature:
+    if exponent_class(params, diff) != signature_class(params, chi.signature):
         raise InvalidInput("profile and character disagree on the quotient class")
 
 

@@ -148,9 +148,7 @@ def canonical_signature(params: FieldParams, exps: Tuple[int, ...]) -> TameSigna
     Entries of ``exps`` may be arbitrary integers; only their class modulo
     p^f - 1 matters.
     """
-    sig = _signature_from_class(params, exponent_class(params, tuple(exps)))
-    validate_signature(params, sig)
-    return sig
+    return _signature_from_class(params, exponent_class(params, tuple(exps)))
 
 
 def n_values(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
@@ -286,6 +284,10 @@ class CharacterData:
     caller-supplied and only validated against the inertial signature.  For
     p = 2 the cyclotomic character is the trivial character, so there both
     flags are forced to agree.
+
+    Records come from ``character`` and ``char_quotient``, which check each
+    one once as it is built; the helpers that receive them trust them.  A
+    record built by hand should go through ``validate_character`` first.
     """
 
     signature: TameSignature
@@ -311,21 +313,14 @@ def _finish_character(
     unram: UnramifiedPart,
     cyclotomic: Optional[bool],
 ) -> CharacterData:
+    """Derive the flags and check the record: the one place a character is
+    validated, so helpers that receive it trust it."""
     _validate_unram(params, unram)
     trivial = _is_trivial_signature(params, sig) and unram.is_trivial(params.p)
-    if cyclotomic is None:
-        cyclotomic = params.p == 2 and trivial
-    if cyclotomic and sig != cyclotomic_inertia_signature(params):
-        raise InvariantError(
-            f"cyclotomic declaration inconsistent with signature {sig.a}"
-        )
-    if params.p == 2:
-        # Mod 2 there is exactly one character with cyclotomic signature and
-        # trivial unramified part, namely the trivial character itself.
-        if cyclotomic and not unram.is_trivial(2):
-            raise InvariantError("mod-2 cyclotomic declarations need trivial unram")
-        cyclotomic = cyclotomic or trivial
-    chi = CharacterData(sig, unram, trivial, cyclotomic)
+    # Cyclotomic is declared, except mod 2 where it is the trivial character.
+    chi = CharacterData(
+        sig, unram, trivial, bool(cyclotomic) or (params.p == 2 and trivial)
+    )
     validate_character(params, chi)
     return chi
 
@@ -335,6 +330,7 @@ def _is_trivial_signature(params: FieldParams, sig: TameSignature) -> bool:
 
 
 def validate_character(params: FieldParams, chi: CharacterData) -> None:
+    """Check a character record against (p, e, f) and its flag rules."""
     validate_signature(params, chi.signature)
     _validate_unram(params, chi.unram)
     trivial = _is_trivial_signature(params, chi.signature) and chi.unram.is_trivial(
@@ -344,9 +340,13 @@ def validate_character(params: FieldParams, chi: CharacterData) -> None:
         raise InvariantError("trivial flag inconsistent with character data")
     if chi.declared_cyclotomic:
         if chi.signature != cyclotomic_inertia_signature(params):
-            raise InvariantError("cyclotomic flag inconsistent with signature")
+            raise InvariantError(
+                f"cyclotomic declaration inconsistent with signature {chi.signature.a}"
+            )
+        # Mod 2 the cyclotomic signature is the trivial one, so only the
+        # unramified part can make a cyclotomic declaration nontrivial.
         if params.p == 2 and not chi.declared_trivial:
-            raise InvariantError("mod-2 cyclotomic characters are trivial")
+            raise InvariantError("mod-2 cyclotomic declarations need trivial unram")
     if params.p == 2 and chi.declared_trivial and not chi.declared_cyclotomic:
         raise InvariantError("mod-2 trivial characters are cyclotomic")
 
@@ -373,8 +373,6 @@ def char_quotient(
     quotient equals the cyclotomic character cannot be inferred, so it is
     taken from ``declare_cyclotomic`` and validated against the signature.
     """
-    validate_character(params, chi1)
-    validate_character(params, chi2)
     n1 = signature_class(params, chi1.signature)
     n2 = signature_class(params, chi2.signature)
     sig = _signature_from_class(params, n1 - n2)

@@ -22,7 +22,6 @@ the characters are consistent with the profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import FrozenSet, Tuple
 
 from .errors import (
@@ -36,13 +35,11 @@ from .errors import (
 from .tame_chars import (
     CharacterData,
     FieldParams,
-    canonical_signature,
-    char_quotient,
+    _signature_from_class,
     character,
     exponent_class,
     n_values,
     signature_class,
-    validate_character,
 )
 
 # ---------------------------------------------------------------------------
@@ -100,13 +97,10 @@ def twist_normalize(
     when the twist has trivial inertial class (then nothing moved).
     """
     validate_weight(params, weight)
-    validate_character(params, chi1)
-    validate_character(params, chi2)
     normalized = SerreWeight(
         tuple(eta_i - theta_i for eta_i, theta_i in zip(weight.eta, weight.theta)),
         (0,) * params.f,
     )
-    validate_weight(params, normalized)
     twist_class = exponent_class(params, weight.theta)
 
     def twist(chi: CharacterData) -> CharacterData:
@@ -133,7 +127,6 @@ def reduced_exponents(params: FieldParams, chi2: CharacterData) -> Tuple[int, ..
     This is the unique such tuple in the class of chi2's signature; it is
     the m-tuple that the shift machinery starts from.
     """
-    validate_character(params, chi2)
     p, f = params.p, params.f
     rem = signature_class(params, chi2.signature)  # in [0, p^f - 2]
     m = [0] * f
@@ -160,22 +153,6 @@ def shift_vector(params: FieldParams, i: int) -> Tuple[int, ...]:
 def _admissible(e: int, ri: int, x: int) -> bool:
     """Whether x lies in [0, e-1] union [r_i, r_i+e-1]."""
     return 0 <= x < e or ri <= x < ri + e
-
-
-def candidate_set(
-    params: FieldParams, weight_r: Tuple[int, ...], chi2_exps: Tuple[int, ...]
-) -> Tuple[Tuple[int, ...], ...]:
-    """All tuples entrywise in [0, e-1] union [r_i, r_i+e-1] in chi2's class."""
-    _validate_r(params, weight_r)
-    _validate_reduced(params, chi2_exps)
-    target = exponent_class(params, chi2_exps)
-    e = params.e
-    pools = [[x for x in range(ri + e) if _admissible(e, ri, x)] for ri in weight_r]
-    return tuple(
-        cand
-        for cand in product(*pools)
-        if exponent_class(params, cand) == target
-    )
 
 
 def _validate_reduced(params: FieldParams, exps: Tuple[int, ...]) -> None:
@@ -252,7 +229,13 @@ def ts_profile(
     chi1: CharacterData,
     chi2: CharacterData,
 ) -> WeightProfile:
-    """Compute (t, s, I, xi) for the normalized weight r and the given pair."""
+    """Compute (t, s, I, xi) for the normalized weight r and the given pair.
+
+    A digit signature is determined by its class modulo p^f - 1, so the
+    profile matches the pair exactly when s - t has the class of chi1 less
+    that of chi2; otherwise ChiMismatch.  Only inertial classes are compared:
+    the unramified parts do not enter, and no quotient character is built.
+    """
     _validate_r(params, weight_r)
     p, e, f = params.p, params.e, params.f
     m = reduced_exponents(params, chi2)
@@ -280,12 +263,13 @@ def ts_profile(
         + sum((s[(i + 1 + j) % f] - t[(i + 1 + j) % f]) * p ** (f - 1 - j) for j in range(f))
         for i in range(f)
     )
-    chi = char_quotient(params, chi1, chi2)
-    if canonical_signature(params, tuple(si - ti for si, ti in zip(s, t))) != chi.signature:
+    cls = (signature_class(params, chi1.signature)
+           - signature_class(params, chi2.signature)) % q1
+    if exponent_class(params, tuple(si - ti for si, ti in zip(s, t))) != cls:
         raise ChiMismatch(
             "chi1/chi2 is not the character cut out by the shift profile"
         )
-    n = n_values(params, chi.signature)
+    n = n_values(params, _signature_from_class(params, cls))
     for i in range(f):
         if (xi[i] - n[i]) % q1:
             raise InternalInvariantViolation(

@@ -9,7 +9,7 @@ signature on every call, shifted tuples are looked up in the
 candidate product of ``candidate_set``, and the least field of an
 unramified value is found by trying every degree r = 1, 2, ... in turn.
 Of the package they use only its data types, its exceptions,
-``exponent_class`` and ``candidate_set``.
+``exponent_class`` and the input checks of ``minimal_shift_set``.
 """
 
 from fractions import Fraction
@@ -26,9 +26,9 @@ from serreweights import (
     NoValidShift,
     TameSignature,
     UnramifiedPart,
-    candidate_set,
     exponent_class,
 )
+from serreweights import weight_lattice
 
 
 def n_values_scan(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
@@ -101,6 +101,27 @@ def i_m_index_scan(params: FieldParams, chi: CharacterData, m: int) -> int:
             f"n_0..n_{f_prime - 1} are not distinct mod {q1}"
         )
     return matches[0]
+
+
+def candidate_set(
+    params: FieldParams, weight_r: Tuple[int, ...], chi2_exps: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], ...]:
+    """All tuples entrywise in [0, e-1] union [r_i, r_i+e-1] in chi2's class.
+
+    The package's admissibility test is looked up on its module at each
+    call, so a test that narrows it narrows this product too.
+    """
+    weight_lattice._validate_r(params, weight_r)
+    weight_lattice._validate_reduced(params, chi2_exps)
+    target = exponent_class(params, chi2_exps)
+    e = params.e
+    admissible = weight_lattice._admissible
+    pools = [[x for x in range(ri + e) if admissible(e, ri, x)] for ri in weight_r]
+    return tuple(
+        cand
+        for cand in product(*pools)
+        if exponent_class(params, cand) == target
+    )
 
 
 def candidates_by_class(

@@ -10,6 +10,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from serreweights import (
@@ -17,6 +18,7 @@ from serreweights import (
     InvalidInput,
     InvariantError,
     SchemaError,
+    SerreWeightsError,
     character,
     parse_problem,
     reduced_exponents,
@@ -378,6 +380,12 @@ def test_parse_problem_schema_errors():
         parse_problem({**PROBLEM_DOC, "weight": [2]})
     with pytest.raises(SchemaError, match=r"expected an integer at \.chi1\.exps\[0\]"):
         parse_problem({**PROBLEM_DOC, "chi1": {"exps": ["x"]}})
+    # a null required integer is not a missing optional one
+    with pytest.raises(SchemaError, match=r"expected an integer at \.params\.p"):
+        parse_problem({**PROBLEM_DOC, "params": {"p": None, "e": 2, "f": 1}})
+    chi1 = {"exps": [2], "unram": {"degree": None, "dlog": 0}}
+    with pytest.raises(SchemaError, match=r"expected an integer at \.chi1\.unram\.degree"):
+        parse_problem({**PROBLEM_DOC, "chi1": chi1})
 
 
 def test_parse_problem_accepts_decimal_strings():
@@ -417,6 +425,93 @@ def test_parse_problem_eta_theta_weight():
     problem = parse_problem(doc)
     assert problem.weight.eta == (2, 1)
     assert problem.weight.theta == (1, 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "3", "--f", "2", "--chi-exps", "1,2"],
+     "cyclotomic declaration inconsistent with signature (1, 2)"),
+    (["--p", "2", "--f", "1", "--chi-exps", "0", "--chi-unram", "2:1"],
+     "mod-2 cyclotomic declarations need trivial unram"),
+])
+def test_cyclotomic_flag_rules_exit_2(capsys, argv, message):
+    assert run_command(["dims", "--e", "1", *argv, "--chi-cyclotomic"]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
+# Integers in [-4, 30], or their decimal strings.
+_INT = st.integers(-4, 30)
+_INT = st.one_of(_INT, _INT.map(str))
+_FLAG = st.sampled_from([None, False, True])
+_OTHER_SHAPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INT,
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.lists(st.one_of(_INT, st.text(max_size=2), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=2), _INT, max_size=2),
+)
+
+
+def _slots(node, parent=None, key=None):
+    """(container, key) for every node of a document; (None, None) is the root."""
+    yield parent, key
+    if isinstance(node, (dict, list)):
+        for k in list(node) if isinstance(node, dict) else range(len(node)):
+            yield from _slots(node[k], node, k)
+
+
+@st.composite
+def _problem_documents(draw):
+    """A valid problem document, then up to three of its nodes dropped or
+    swapped for another JSON shape (an integer in [-4, 30] among them), so
+    a null, a missing key or a value out of range may sit at any node."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    f = draw(st.integers(1, 3))
+
+    def digits(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=f, max_size=f))
+
+    def character():
+        degree = draw(st.integers(1, 4))
+        unram = {"degree": degree, "dlog": draw(st.integers(0, p**degree - 2))}
+        return {"exps": digits(-4, 30), "unram": unram,
+                "cyclotomic": draw(_FLAG), "trivial": draw(_FLAG)}
+
+    theta = digits(0, p - 2)
+    doc = {
+        "params": {"p": p, "e": draw(st.integers(1, 3)), "f": f},
+        "weight": (
+            {"r": digits(1, p)} if draw(st.booleans())
+            else {"eta": [t + d for t, d in zip(theta, digits(0, p - 1))],
+                  "theta": theta}
+        ),
+        "chi1": character(),
+        "chi2": character(),
+        "e_m": draw(st.sampled_from([None, 1, p**f - 1])),
+        "oracle": {"fq_degree": draw(_INT), "trunc": draw(_INT)},
+        "chi_cyclotomic": draw(_FLAG),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        parent, key = draw(st.sampled_from(list(_slots(doc))))
+        if parent is None:
+            return draw(_OTHER_SHAPES)
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_OTHER_SHAPES)
+    return doc
+
+
+@settings(max_examples=400)
+@given(_problem_documents())
+def test_parse_problem_raises_only_package_errors(doc):
+    """Integers stay in [-4, 30], so no document asks for a power larger
+    than 30^30: nothing here is slow, whatever reaches the validators."""
+    try:
+        parse_problem(doc)
+    except SerreWeightsError:
+        pass
 
 
 def test_report_bytes_are_deterministic(tmp_path):

@@ -25,7 +25,6 @@ from serreweights import (
     SerreWeightsError,
     TameSignature,
     UnramifiedPart,
-    candidate_set,
     character,
     cyclotomic_inertia_signature,
     exponent_class,
@@ -177,7 +176,7 @@ def test_candidates_by_class_is_candidate_set(cell):
         for m in product(range(p), repeat=f):
             if all(c == p - 1 for c in m):
                 continue
-            cands = set(candidate_set(params, r, m))
+            cands = set(scan.candidate_set(params, r, m))
             assert cands == by_class.get(exponent_class(params, m), set())
             assert outcome(minimal_shift_set, params, r, m) == outcome(
                 scan.minimal_shift_set_scan, params, r, m

@@ -98,7 +98,10 @@ def test_unramified_part_validation():
 def test_cyclotomic_declaration_consistency():
     # sig (1,1) is the inertial cyclotomic signature at p=3, e=1, f=2
     character(P3F2, (1, 1), cyclotomic=True)
-    with pytest.raises(InvariantError):
+    with pytest.raises(
+        InvariantError,
+        match=r"^cyclotomic declaration inconsistent with signature \(1, 2\)$",
+    ):
         character(P3F2, (1, 2), cyclotomic=True)
 
 
@@ -106,7 +109,9 @@ def test_p2_flag_forcing():
     chi = character(P2F1, (0,))
     assert chi.declared_trivial
     assert chi.declared_cyclotomic
-    with pytest.raises(InvariantError):
+    with pytest.raises(
+        InvariantError, match=r"^mod-2 cyclotomic declarations need trivial unram$"
+    ):
         character(P2F1, (0,), unram=UnramifiedPart(2, 1), cyclotomic=True)
 
 

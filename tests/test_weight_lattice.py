@@ -12,7 +12,6 @@ from serreweights import (
     InvariantError,
     NoValidShift,
     SerreWeight,
-    candidate_set,
     char_quotient,
     character,
     exponent_class,
@@ -28,6 +27,7 @@ from serreweights import (
 )
 
 import oracles
+from scan_reference import candidate_set
 
 
 P3F2 = FieldParams(3, 1, 2)
