@@ -23,8 +23,8 @@ difference a + (p - b) of reduced slots is at most 2p-1.  ``mul`` is that
 product, a per-slot reduction mod p (``bytes.translate`` with a 256-entry
 table when w = 1, a loop over the slots otherwise), and folding of the
 slots at x^r and above by x^r = t(x), the packed negated modulus tail,
-until none are left.  ``add``, ``sub`` and ``neg`` are one integer
-addition plus the same reduction; ``scale`` by an integer in [0, p) is one
+until none are left.  ``add`` and ``sub`` are one integer addition plus
+the same reduction; ``scale`` by an integer in [0, p) is one
 integer product, at most (p-1)^2 per slot, plus the same reduction; and
 ``inv`` is the extended Euclidean algorithm.  Degree 1 is plain integer
 arithmetic mod p in a single slot.
@@ -97,7 +97,7 @@ class FiniteField:
             self._reduce = self._reduce_bytes
         else:
             self._reduce = self._reduce_slots
-        self._p_slots = self._pack([p] * r)  # p in every slot, for sub and neg
+        self._p_slots = self._pack([p] * r)  # p in every slot, for sub
         self.zero: Element = bytes(self._size)
         self.one: Element = self.scalar(1)
         self.modulus = self._find_modulus()
@@ -221,9 +221,6 @@ class FiniteField:
     def sub(self, a: Element, b: Element) -> Element:
         n = int.from_bytes(a, "little") + self._p_slots - int.from_bytes(b, "little")
         return self._reduce(n, self._size)
-
-    def neg(self, a: Element) -> Element:
-        return self._reduce(self._p_slots - int.from_bytes(a, "little"), self._size)
 
     def scale(self, c: int, a: Element) -> Element:
         """c a for an integer c: one slot-wise integer product, not a full mul."""

@@ -1,22 +1,24 @@
 """Residue-pairing re-derivation of the label subset, over truncated series.
 
 This module rebuilds the label subset of a profile by a route that shares
-nothing with the digit combinatorics: units are built from the Artin-Hasse
-exponential with coefficients in the tensor ring (residue field of the
-auxiliary extension) tensor F_q, their logarithmic derivatives are computed
-from one honest series division, and a label is kept exactly when some
-spanning class has nonzero residue-trace pairing against it.
+nothing with the digit combinatorics.  Each basis label names an
+Artin-Hasse unit with coefficients in the tensor ring (residue field of the
+auxiliary extension) tensor F_q, and the label is kept exactly when some
+spanning monomial a has nonzero residue-trace pairing Tr res(a dg/g)
+against that unit g.  No unit series is built: a unit enters only through
+its logarithmic derivative dg/g, which is written down in closed form, and
+``residue_trace_pairing`` takes that dlog directly.
 
 The tensor ring is realized componentwise: an element is a tuple of F_q
 values indexed by the embeddings of the auxiliary residue field, so ring
-operations (including the p-th power that the series arithmetic performs)
-are componentwise.  The Frobenius operator induced by the p-th power map of
-the residue field is, in these coordinates, a pure index shift; the two
-agree precisely on tuples coming from the residue field itself.  For that
-reason a unit is never exponentiated from an arbitrary tuple: the tuple is
-first decomposed over a basis of residue-field ("coherent") tuples by
-linear algebra, one honest Artin-Hasse factor is built per basis vector,
-and the unit's dlog is the scalar combination of the factors' dlogs.
+operations are componentwise.  The p-th power map of the residue field
+acts on these coordinates as an index shift, which agrees with the
+componentwise p-th power only on tuples coming from the residue field
+itself.  For that reason a unit is never exponentiated from an arbitrary
+tuple: the tuple is decomposed over a basis of residue-field ("coherent")
+tuples by linear algebra, the unit is the product of one Artin-Hasse factor
+per basis tuple raised to its coordinate, and its dlog is the same
+combination of the factors' dlogs.
 
 The coherent basis is the powers of the conjugates x_i of one generator,
 so its component matrix (x_i^t) is a Vandermonde matrix, inverted by
@@ -31,7 +33,8 @@ P(X) = sum_t beta_t X^t: the same sum as the beta-combination of the
 factors' dlogs, sum_t beta_t (x_i^t)^k, taken in a different order.  P is
 evaluated by Horner's rule at the points x_i^k, read from one table of
 conjugate powers per field, and the F_p factor is applied once per
-coefficient.
+coefficient.  ``dlog_truncated`` divides an explicit series for its dlog;
+the tests use it to check the closed form against the definition.
 
 The mod-p Artin-Hasse coefficients come from two routes that must agree:
 the exponential recurrence in exact fractions, and the product over n of
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._gf import Element, FiniteField, field
 from .errors import (
@@ -195,11 +198,6 @@ def _bucket(trunc: int) -> int:
     return max(64, 1 << (trunc - 1).bit_length())
 
 
-def _ah_prefix(p: int, trunc: int) -> Tuple[int, ...]:
-    """Mod-p coefficients 0..trunc, served from power-of-two cache buckets."""
-    return artin_hasse_mod_p(p, _bucket(trunc))[: trunc + 1]
-
-
 @lru_cache(maxsize=None)
 def _ah_dlog_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
     """Coefficients delta_0..delta_D of v E'(v)/E(v), E the mod-p Artin-Hasse
@@ -230,7 +228,7 @@ TensorScalar = Tuple[Element, ...]
 
 
 class TensorAlgebra:
-    """Componentwise F_q^n with the index-shift Frobenius and the sum trace."""
+    """Componentwise F_q^n with the sum trace."""
 
     def __init__(self, fq: FiniteField, n: int):
         if n < 1:
@@ -240,17 +238,11 @@ class TensorAlgebra:
         self.zero: TensorScalar = (fq.zero,) * n
         self.one: TensorScalar = (fq.one,) * n
 
-    def scalar(self, c: Element) -> TensorScalar:
-        return (c,) * self.n
-
     def add(self, a: TensorScalar, b: TensorScalar) -> TensorScalar:
         return tuple(self.fq.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a: TensorScalar, b: TensorScalar) -> TensorScalar:
         return tuple(self.fq.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a: TensorScalar) -> TensorScalar:
-        return tuple(self.fq.neg(x) for x in a)
 
     def mul(self, a: TensorScalar, b: TensorScalar) -> TensorScalar:
         return tuple(self.fq.mul(x, y) for x, y in zip(a, b))
@@ -265,11 +257,6 @@ class TensorAlgebra:
         if any(x == self.fq.zero for x in a):
             raise NonUnitConstantTerm("tensor scalar has a zero component")
         return tuple(self.fq.inv(x) for x in a)
-
-    def frobenius(self, a: TensorScalar, times: int = 1) -> TensorScalar:
-        """The operator induced by the residue-field p-th power: index shift."""
-        shift = times % self.n
-        return a[-shift:] + a[:-shift] if shift else a
 
     def trace(self, a: TensorScalar) -> Element:
         total = self.fq.zero
@@ -295,37 +282,6 @@ def monomial(alg: TensorAlgebra, degree: int, coeff: TensorScalar) -> LaurentEle
     if alg.is_zero(coeff):
         return LaurentElement({}, None)
     return LaurentElement({degree: coeff}, None)
-
-
-def _min_degree(series: LaurentElement) -> int:
-    return min(series.coeffs) if series.coeffs else 0
-
-
-def _known_up_to(a: LaurentElement, b: LaurentElement) -> Optional[int]:
-    bounds = []
-    if a.trunc is not None:
-        bounds.append(a.trunc + _min_degree(b))
-    if b.trunc is not None:
-        bounds.append(b.trunc + _min_degree(a))
-    return min(bounds) if bounds else None
-
-
-def series_mul(alg: TensorAlgebra, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    trunc = _known_up_to(a, b)
-    out: Dict[int, TensorScalar] = {}
-    for da, ca in a.coeffs.items():
-        for db, cb in b.coeffs.items():
-            d = da + db
-            if trunc is not None and d > trunc:
-                continue
-            c = alg.mul(ca, cb)
-            prev = out.get(d)
-            c = alg.add(prev, c) if prev is not None else c
-            if alg.is_zero(c):
-                out.pop(d, None)
-            else:
-                out[d] = c
-    return LaurentElement(out, trunc)
 
 
 def dlog_truncated(
@@ -366,32 +322,8 @@ def dlog_truncated(
 
 
 # ---------------------------------------------------------------------------
-# Units built from the Artin-Hasse series
+# Artin-Hasse units, given by their dlogs
 # ---------------------------------------------------------------------------
-
-
-def epsilon_series(
-    alg: TensorAlgebra, lam: TensorScalar, m_prime: int, trunc: int
-) -> LaurentElement:
-    """The honest series sum_k c_k lam^k u^{k m'} (componentwise powers).
-
-    This is a legitimate unit of the series ring for any tuple, but it only
-    represents the Artin-Hasse image of a residue-field element when lam is
-    coherent; incoherent tuples must go through ``epsilon_unit``.
-    """
-    if m_prime < 1:
-        raise InvalidInput(f"the u-exponent must be >= 1, got {m_prime}")
-    ah = _ah_prefix(alg.fq.p, trunc // m_prime)
-    out: Dict[int, TensorScalar] = {}
-    power = alg.one
-    for k, ck in enumerate(ah):
-        if k:
-            power = alg.mul(power, lam)
-        if ck:
-            c = alg.scale(alg.fq.scalar(ck), power)
-            if not alg.is_zero(c):
-                out[k * m_prime] = c
-    return LaurentElement(out, trunc)
 
 
 @lru_cache(maxsize=None)
@@ -481,19 +413,10 @@ def _conjugate_powers(fq: FiniteField, n: int, k: int) -> Tuple[Element, ...]:
     return row
 
 
-@dataclass
-class ArtinHasseUnit:
-    """A unit given as a coherent-factor product; only its dlog is material."""
-
-    lam: TensorScalar
-    m_prime: int
-    dlog: LaurentElement
-
-
 def epsilon_unit(
     alg: TensorAlgebra, lam: TensorScalar, m_prime: int, trunc: int
-) -> ArtinHasseUnit:
-    """The Artin-Hasse unit of an arbitrary tuple at exponent m'.
+) -> LaurentElement:
+    """The dlog of the Artin-Hasse unit of an arbitrary tuple at exponent m'.
 
     The tuple is decomposed as lam = sum_t beta_t b_t over the coherent
     basis tuples b_t = (x_i^t)_i, and the unit combines the honest factors
@@ -529,7 +452,7 @@ def epsilon_unit(
             row = [fq.scale(c, y) for y in row]
         if any(y != fq.zero for y in row):
             coeffs[k * m_prime] = tuple(row)
-    return ArtinHasseUnit(lam, m_prime, LaurentElement(coeffs, (v_trunc + 1) * m_prime - 1))
+    return LaurentElement(coeffs, (v_trunc + 1) * m_prime - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -559,31 +482,17 @@ def lambda_tuple(
     return tuple(components)
 
 
-@dataclass(frozen=True)
-class Uniformizer:
-    """Marker for the distinguished element u, whose dlog is exactly 1."""
-
-
-UNIFORMIZER = Uniformizer()
-
-
 def residue_trace_pairing(
-    alg: TensorAlgebra,
-    a: LaurentElement,
-    b: Union[LaurentElement, ArtinHasseUnit, Uniformizer],
+    alg: TensorAlgebra, a: LaurentElement, g: LaurentElement
 ) -> Element:
-    """Tr of the u^{-1} coefficient of a db/b, as an F_q element.
+    """Tr of the u^{-1} coefficient of a g, as an F_q element.
 
-    Every stored coefficient of one factor needs the matching coefficient
-    of the other to be known; otherwise the residue is not determined at
-    the available truncation.
+    g is the dlog u (db/du)/b of a unit b: ``epsilon_unit`` for an
+    Artin-Hasse unit, the constant 1 for u itself.  Every stored
+    coefficient of one factor needs the matching coefficient of the other
+    to be known; otherwise the residue is not determined at the available
+    truncation.
     """
-    if isinstance(b, Uniformizer):
-        g = LaurentElement({0: alg.one}, None)
-    elif isinstance(b, ArtinHasseUnit):
-        g = b.dlog
-    else:
-        g = dlog_truncated(alg, b)
     for d in a.coeffs:
         if g.trunc is not None and -d > g.trunc:
             raise TruncationInsufficient(
@@ -607,15 +516,10 @@ def residue_trace_pairing(
 # ---------------------------------------------------------------------------
 
 
-def mu_order(params: FieldParams, chi: CharacterData) -> int:
-    """Multiplicative order of the unramified part's value on Frobenius."""
-    return chi.unram.order(params.p)
-
-
 def required_degree(params: FieldParams, chi: CharacterData) -> int:
     """Least coefficient-field degree: the eigenvector components and the
     unramified value must both embed."""
-    return lcm(params.f * mu_order(params, chi), chi.unram.order_field_degree)
+    return lcm(params.f * chi.unram.order(params.p), chi.unram.order_field_degree)
 
 
 # The longest series the oracle builds, a resource limit rather than a
@@ -645,10 +549,10 @@ def rederive_jvah(
 ) -> FrozenSet[BasisLabel]:
     """Label subset by explicit residue pairings; must match j_v_ah.
 
-    For each basis label a unit is built at exponent m'; for each (i, d) a
-    spanning monomial at degree d e_M - xi'_i; the label survives iff some
-    pairing is nonzero.  Everything happens in honest truncated series over
-    the componentwise tensor ring.
+    For each basis label the dlog of its unit at exponent m' is written
+    down; for each (i, d) a spanning monomial at degree d e_M - xi'_i; the
+    label survives iff some pairing is nonzero.  Everything happens in
+    truncated series over the componentwise tensor ring.
     """
     if trunc is not None and trunc < 0:
         raise InvalidInput(f"truncation degree must be >= 0, got {trunc}")
@@ -665,7 +569,7 @@ def rederive_jvah(
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m
-    order = mu_order(params, chi)
+    order = chi.unram.order(p)
     degree_needed = required_degree(params, chi)
     if fq_degree is None:
         fq_degree = degree_needed
@@ -699,11 +603,7 @@ def rederive_jvah(
         im = i_m_index(params, chi, m)
         for k in range(f_dprime):
             t_alpha = (im + k * f_prime) % f
-            unit = epsilon_unit(
-                alg, lambda_tuple(alg, f, t_alpha, a_val), m_prime, trunc
-            )
-            if any(
-                residue_trace_pairing(alg, a, unit) != fq.zero for a in spanning
-            ):
+            g = epsilon_unit(alg, lambda_tuple(alg, f, t_alpha, a_val), m_prime, trunc)
+            if any(residue_trace_pairing(alg, a, g) != fq.zero for a in spanning):
                 labels.add(BasisLabel.alpha(m, k))
     return frozenset(labels)

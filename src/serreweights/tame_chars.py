@@ -31,21 +31,48 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InvalidInput, InvariantError
+from .errors import InvalidInput, InvariantError, ResourceLimitExceeded
 
 # ---------------------------------------------------------------------------
 # Field parameters
 # ---------------------------------------------------------------------------
 
 
+# The first 13 primes.  A strong probable prime to every one of them is
+# prime below _SPRP_EXACT_BELOW (Sorenson and Webster 2015).
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Primality by the strong probable-prime test to ``_SPRP_BASES``.
+
+    Exact below ``_SPRP_EXACT_BELOW``.  At or above it a number that fails
+    a base is still composite, but one that passes every base raises
+    ResourceLimitExceeded: the test decides nothing there.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _SPRP_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for b in _SPRP_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= _SPRP_EXACT_BELOW:
+        raise ResourceLimitExceeded(
+            f"p = {n} passes the strong probable-prime test, which decides "
+            f"primality only below {_SPRP_EXACT_BELOW}"
+        )
     return True
 
 

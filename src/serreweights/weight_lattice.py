@@ -178,6 +178,14 @@ def minimal_shift_set(
     """
     _validate_r(params, weight_r)
     _validate_reduced(params, chi2_exps)
+    least = _least_shift(params, weight_r, chi2_exps)
+    return frozenset(i for i in range(params.f) if least >> i & 1)
+
+
+def _least_shift(
+    params: FieldParams, weight_r: Tuple[int, ...], chi2_exps: Tuple[int, ...]
+) -> int:
+    """``minimal_shift_set`` on checked inputs, as a mask: bit i is v_i."""
     p, e, f = params.p, params.e, params.f
     valid = []
     for mask in range(1 << f):
@@ -200,7 +208,7 @@ def minimal_shift_set(
         raise MinimalityAmbiguous(
             f"valid shift subsets {subsets} have no least element"
         )
-    return frozenset(i for i in range(f) if least >> i & 1)
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +246,12 @@ def ts_profile(
     """
     _validate_r(params, weight_r)
     p, e, f = params.p, params.e, params.f
-    m = reduced_exponents(params, chi2)
-    j_min = minimal_shift_set(params, weight_r, m)
-    t = list(m)
-    for i in j_min:
-        v = shift_vector(params, i)
-        t = [ti + vi for ti, vi in zip(t, v)]
-    t = tuple(t)
+    m = reduced_exponents(params, chi2)  # in range by construction
+    least = _least_shift(params, weight_r, m)
+    j_min = frozenset(i for i in range(f) if least >> i & 1)
+    t = tuple(
+        c - (least >> i & 1) + p * (least >> (i - 1) % f & 1) for i, c in enumerate(m)
+    )
     s = tuple(ri + e - 1 - ti for ri, ti in zip(weight_r, t))
     for i, (ri, ti, si) in enumerate(zip(weight_r, t, s)):
         if not (_admissible(e, ri, ti) and _admissible(e, ri, si)):

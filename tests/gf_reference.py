@@ -106,9 +106,6 @@ class FiniteField:
     def sub(self, a: Element, b: Element) -> Element:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % self.p for x in a)
-
     def mul(self, a: Element, b: Element) -> Element:
         p, r = self.p, self.r
         if r == 1:

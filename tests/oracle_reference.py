@@ -1,12 +1,17 @@
 """Earlier versions of the oracle's series code, kept as test oracles.
 
-The package decomposes a tuple over the coherent basis and evaluates the
-unit's dlog in Horner form, (m' delta_k mod p) P(x_i^k), from one table of
-conjugate powers per field; it inverts the coherent basis matrix as a
-Vandermonde matrix by Lagrange interpolation; and its Moebius route takes
-each binomial(e, k) mod p from the base-p digits of e (Lucas).  The
-versions here are the ones that came before:
+The package builds no unit series: it decomposes a tuple over the coherent
+basis and writes the unit's dlog in Horner form, (m' delta_k mod p)
+P(x_i^k), from one table of conjugate powers per field, and pairs spanning
+monomials against that dlog directly.  It inverts the coherent basis
+matrix as a Vandermonde matrix by Lagrange interpolation, and its Moebius
+route takes each binomial(e, k) mod p from the base-p digits of e (Lucas).
+The versions here are the ones that came before, built from the
+definitions:
 
+- ``epsilon_series`` is the honest unit series sum_k c_k lam^k u^{k m'},
+  and ``series_mul`` multiplies two truncated series, so a pairing can be
+  taken against ``dlog_truncated`` of an explicit unit;
 - the basis tuples are Frobenius images of the powers of the subfield
   generator, each exponent m' gets its own compressed series E(lam v) from
   ``epsilon_series`` divided by ``dlog_truncated`` over the tensor ring,
@@ -14,21 +19,87 @@ versions here are the ones that came before:
 - the component matrix is inverted by Gauss-Jordan elimination;
 - binomial(e, k) mod p is a product of k factors modulo p^(trunc + 2).
 
-Of the package they use only the finite fields, the tensor ring and those
-two public series functions.
+Of the package they use only the finite fields, the tensor ring, the
+mod-p Artin-Hasse coefficients and ``dlog_truncated``.
 """
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from serreweights._gf import field
-from serreweights.errors import IntegralityViolation, InternalInvariantViolation
+from serreweights.errors import (
+    IntegralityViolation,
+    InternalInvariantViolation,
+    InvalidInput,
+)
 from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
+    _bucket,
+    artin_hasse_mod_p,
     dlog_truncated,
-    epsilon_series,
 )
+
+
+def _ah_prefix(p: int, trunc: int) -> Tuple[int, ...]:
+    """Mod-p coefficients 0..trunc, served from the package's cache buckets."""
+    return artin_hasse_mod_p(p, _bucket(trunc))[: trunc + 1]
+
+
+def epsilon_series(
+    alg: TensorAlgebra, lam, m_prime: int, trunc: int
+) -> LaurentElement:
+    """The honest series sum_k c_k lam^k u^{k m'} (componentwise powers).
+
+    This is a legitimate unit of the series ring for any tuple, but it only
+    represents the Artin-Hasse image of a residue-field element when lam is
+    coherent.
+    """
+    if m_prime < 1:
+        raise InvalidInput(f"the u-exponent must be >= 1, got {m_prime}")
+    ah = _ah_prefix(alg.fq.p, trunc // m_prime)
+    out = {}
+    power = alg.one
+    for k, ck in enumerate(ah):
+        if k:
+            power = alg.mul(power, lam)
+        if ck:
+            c = alg.scale(alg.fq.scalar(ck), power)
+            if not alg.is_zero(c):
+                out[k * m_prime] = c
+    return LaurentElement(out, trunc)
+
+
+def _min_degree(series: LaurentElement) -> int:
+    return min(series.coeffs) if series.coeffs else 0
+
+
+def _known_up_to(a: LaurentElement, b: LaurentElement) -> Optional[int]:
+    bounds = []
+    if a.trunc is not None:
+        bounds.append(a.trunc + _min_degree(b))
+    if b.trunc is not None:
+        bounds.append(b.trunc + _min_degree(a))
+    return min(bounds) if bounds else None
+
+
+def series_mul(alg: TensorAlgebra, a: LaurentElement, b: LaurentElement) -> LaurentElement:
+    """The product of two series, known up to the degree both factors fix."""
+    trunc = _known_up_to(a, b)
+    out: Dict[int, Tuple[bytes, ...]] = {}
+    for da, ca in a.coeffs.items():
+        for db, cb in b.coeffs.items():
+            d = da + db
+            if trunc is not None and d > trunc:
+                continue
+            c = alg.mul(ca, cb)
+            prev = out.get(d)
+            c = alg.add(prev, c) if prev is not None else c
+            if alg.is_zero(c):
+                out.pop(d, None)
+            else:
+                out[d] = c
+    return LaurentElement(out, trunc)
 
 
 def coherent_basis(fq, n: int) -> Tuple[Tuple[bytes, ...], ...]:
@@ -152,7 +223,7 @@ def epsilon_unit_dlog(
         for a, x in zip(row, lam):
             beta = fq.add(beta, fq.mul(a, x))
         if beta != fq.zero:
-            total = series_add(alg, total, series_scale(alg, alg.scalar(beta), part))
+            total = series_add(alg, total, series_scale(alg, (beta,) * alg.n, part))
     return total
 
 

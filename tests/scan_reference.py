@@ -6,8 +6,9 @@ per signature, and finds the least shift subset by an entrywise test of the
 2^f masks.  The versions here are the ones that came before: every m in
 (0, e*p*R) is tested, n-values and niveau are recomputed from the digit
 signature on every call, shifted tuples are looked up in the
-candidate product of ``candidate_set``, and the least field of an
-unramified value is found by trying every degree r = 1, 2, ... in turn.
+candidate product of ``candidate_set``, the least field of an
+unramified value is found by trying every degree r = 1, 2, ... in turn,
+and primality is decided by trial division.
 Of the package they use only its data types, its exceptions,
 ``exponent_class`` and the input checks of ``minimal_shift_set``.
 """
@@ -183,3 +184,15 @@ def normalize_unram_scan(p: int, degree: int, dlog: int) -> UnramifiedPart:
     while (p**r - 1) % order:
         r += 1
     return UnramifiedPart(r, dlog // (big // (p**r - 1)))
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

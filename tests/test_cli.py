@@ -220,6 +220,31 @@ def test_oracle_at_p13_agrees(capsys):
     assert doc["j_oracle"]
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_tracer_finds_every_layer_metric(capsys, monkeypatch):
+    """The benchmark's tracer looks functions up by name; a renamed or
+    removed public function would make ``layer_metrics`` raise KeyError."""
+    monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run_command(ORACLE_F3) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics(0)
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) == {
+        m["name"] for m in declared if not m["name"].startswith("trace.")
+    }
+    assert metrics["series_oracle.pairings"][0] > 0
+    assert tracing.leftover_wrappers() == []
+
+
 def run_python(args, timeout=60):
     """A fresh interpreter that imports this checkout's package."""
     src = str(Path(serreweights.__file__).resolve().parent.parent)
@@ -275,6 +300,27 @@ def test_dims_at_large_p_enumerates_the_progressions():
     assert doc["h1"] == 2
     assert [jump["dim"] for jump in doc["jump_profile"]] == [1, 1]
     assert doc["windows"] == [2]
+
+
+def _dims_at(p):
+    return run_python(["-m", "serreweights", "dims", "--p", str(p), "--e", "1",
+                       "--f", "1", "--chi-exps=1"])
+
+
+def test_large_prime_p_is_decided_without_trial_division():
+    """Trial division to the square root of 10^18 + 3 would take minutes."""
+    done = _dims_at(1000000000000000003)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["params"]["p"] == 1000000000000000003
+    done = _dims_at(1000000000000000001)
+    assert done.returncode == 2
+    assert done.stderr == "invalid input: p = 1000000000000000001 is not prime\n"
+
+
+def test_prime_p_above_the_exact_bound_exits_3():
+    done = _dims_at(2**89 - 1)
+    assert done.returncode == 3
+    assert done.stderr.startswith("resource limit: ")
 
 
 def test_unknown_arguments_exit_2(capsys):

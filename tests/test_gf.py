@@ -82,7 +82,6 @@ def test_ring_operations_match_reference(pair):
         assert co(fq.mul(x, y)) == ref.mul(u, v)
         assert co(fq.add(x, y)) == ref.add(u, v)
         assert co(fq.sub(x, y)) == ref.sub(u, v)
-        assert co(fq.neg(x)) == ref.neg(u)
         for c in (0, 1, fq.p - 1, fq.p + 2):
             assert co(fq.scale(c, x)) == ref.mul(ref.element([c]), u)
 

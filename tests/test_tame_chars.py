@@ -19,14 +19,78 @@ from serreweights import (
     signature_class,
     validate_signature,
 )
-from serreweights.tame_chars import TameSignature
+from serreweights import ResourceLimitExceeded, tame_chars
+from serreweights.tame_chars import TameSignature, is_prime
 
 import oracles
+import scan_reference
 
 
 P3F2 = FieldParams(3, 1, 2)
 P3F1 = FieldParams(3, 1, 1)
 P2F1 = FieldParams(2, 1, 1)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if scan_reference.is_prime_trial(n)
+    ]
+
+
+# Strong pseudoprimes: the least to base 2, to bases 2-3, 2-5 and 2-7, and
+# one strong to every base 2-23, each with its factorization.
+STRONG_PSEUDOPRIMES = [
+    (2047, (23, 89), 1),
+    (1373653, (829, 1657), 2),
+    (25326001, (2251, 11251), 3),
+    (3215031751, (151, 751, 28351), 4),
+    (3825123056546413051, (149491, 747451, 34233211), 9),
+]
+
+
+def _strong_probable_prime(n, b):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(b, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n, factors, strong_bases", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n, factors, strong_bases):
+    product = 1
+    for q in factors:
+        assert scan_reference.is_prime_trial(q)
+        product *= q
+    assert product == n
+    # the first strong_bases prime bases are fooled, so only a later one
+    # can reject n
+    assert all(
+        _strong_probable_prime(n, b) for b in tame_chars._SPRP_BASES[:strong_bases]
+    )
+    assert not is_prime(n)
+    with pytest.raises(InvalidInput, match="not prime"):
+        FieldParams(n, 1, 1)
+
+
+def test_is_prime_is_undecided_at_the_sorenson_webster_bound():
+    bound = tame_chars._SPRP_EXACT_BELOW
+    mersenne = 2**89 - 1  # prime, and above the bound
+    assert mersenne >= bound
+    with pytest.raises(ResourceLimitExceeded, match="strong probable-prime"):
+        is_prime(mersenne)
+    with pytest.raises(ResourceLimitExceeded):
+        FieldParams(mersenne, 1, 1)
+    # composites above the bound are still rejected
+    assert not is_prime(2**89 + 1)  # divisible by 3
+    assert not is_prime(mersenne * 3_215_031_751)
+    # below the bound the answer stands: 10^18 + 3 is prime, 10^18 + 1 is not
+    assert is_prime(10**18 + 3)
+    assert not is_prime(10**18 + 1)
 
 
 def test_field_params_validation():
