@@ -6,6 +6,11 @@ order, every set is sorted, rationals are emitted as "num/den" strings in
 lowest terms, and number-theoretic integers (window indices, xi, digit
 sums) as decimal strings so consumers never round them.
 
+The flags of ``profile``, ``lv`` and ``oracle`` spell a problem document,
+the same one ``--problem`` reads, and ``parse_problem`` alone builds and
+checks the ``Problem``; ``dims`` and ``basis`` read their flags as a
+document's ``.chi`` node.  Error messages name document paths.
+
 Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
 comparison fails; 2 for invalid input; 3 when a valid request exceeds a
@@ -53,6 +58,7 @@ from .tame_chars import (
     character,
     cyclotomic_inertia_signature,
     exponent_class,
+    is_unramified,
     n_values,
     niveau,
     signature_class,
@@ -276,58 +282,55 @@ def _emit(report: dict, fmt: str, out_path: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Flag parsing helpers
+# Flags as a problem document
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_tuple(text: str, what: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidInput(f"{what} must be comma-separated integers, got {text!r}")
+def _given(**nodes) -> dict:
+    """The nodes that hold a value: a flag not given leaves its key out, so
+    ``parse_problem`` names the path of whatever is missing."""
+    return {key: node for key, node in nodes.items() if node not in (None, {})}
 
 
-def _parse_unram_flag(text: Optional[str]) -> UnramifiedPart:
-    if text is None:
-        return UnramifiedPart()
-    try:
-        degree, dlog = text.split(":")
-        return UnramifiedPart(int(degree), int(dlog))
-    except ValueError:
-        raise InvalidInput(f"unramified part must be DEGREE:DLOG, got {text!r}")
+def _csv_node(text: Optional[str]) -> Optional[List[str]]:
+    """A comma-separated flag as its entries, decimal strings for ``_as_int``."""
+    return None if text is None else text.split(",")
 
 
-def _char_from_flags(
-    params: FieldParams,
-    exps_text: Optional[str],
-    unram_text: Optional[str],
-    cyclotomic: Optional[bool],
-    what: str,
-) -> CharacterData:
-    if exps_text is None:
-        raise InvalidInput(f"missing --{what}-exps")
-    exps = _parse_int_tuple(exps_text, f"--{what}-exps")
-    return character(
-        params, exps, unram=_parse_unram_flag(unram_text), cyclotomic=cyclotomic
+def _char_node(args, name: str, **declared: Optional[bool]) -> dict:
+    """The node of ``--NAME-exps`` and ``--NAME-unram DEGREE:DLOG``; without
+    one colon the dlog is not an integer."""
+    unram = getattr(args, f"{name}_unram")
+    if unram is not None:
+        degree, _, dlog = unram.partition(":")
+        unram = {"degree": degree, "dlog": dlog}
+    exps = _csv_node(getattr(args, f"{name}_exps"))
+    return _given(exps=exps, unram=unram, **declared)
+
+
+def _flags_document(args) -> dict:
+    """The problem document that the pair-command flags spell."""
+    weight = _given(
+        r=_csv_node(args.r), eta=_csv_node(args.eta), theta=_csv_node(args.theta)
+    )
+    if "eta" in weight and "theta" not in weight:
+        weight["theta"] = [0] * len(weight["eta"])
+    return _given(
+        params=_given(p=args.p, e=args.e, f=args.f),
+        weight=weight,
+        chi1=_char_node(args, "chi1"),
+        chi2=_char_node(args, "chi2"),
+        e_m=args.e_m,
+        oracle=_given(  # oracle flags only exist on the oracle command
+            fq_degree=getattr(args, "fq_degree", None),
+            trunc=getattr(args, "trunc", None),
+        ),
+        chi_cyclotomic=args.chi_cyclotomic or None,
     )
 
 
-def _weight_from_args(params: FieldParams, args) -> SerreWeight:
-    if args.r is not None:
-        return weight_from_r(params, _parse_int_tuple(args.r, "--r"))
-    if args.eta is None:
-        raise InvalidInput("provide either --r or --eta (with optional --theta)")
-    eta = _parse_int_tuple(args.eta, "--eta")
-    if args.theta is not None:
-        theta = _parse_int_tuple(args.theta, "--theta")
-    else:
-        theta = (0,) * params.f
-    weight = SerreWeight(eta, theta)
-    validate_weight(params, weight)
-    return weight
-
-
 def _pair_problem_from_args(args) -> Problem:
+    """The problem of ``--problem``, or else the one the flags spell."""
     if args.problem:
         import json
 
@@ -341,23 +344,12 @@ def _pair_problem_from_args(args) -> Problem:
             raise SchemaError(f"problem document is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise SchemaError(f"cannot read problem document: {exc}") from exc
-        return parse_problem(doc)
-    params = FieldParams(args.p, args.e, args.f)
-    weight = _weight_from_args(params, args)
-    chi1 = _char_from_flags(params, args.chi1_exps, args.chi1_unram, None, "chi1")
-    chi2 = _char_from_flags(params, args.chi2_exps, args.chi2_unram, None, "chi2")
-    if args.chi2_unramified and signature_class(params, chi2.signature) % params.tame_order:
+    else:
+        doc = _flags_document(args)
+    problem = parse_problem(doc)
+    if args.chi2_unramified and not is_unramified(problem.params, problem.chi2):
         raise InvalidInput("--chi2-unramified contradicts the chi2 exponents")
-    return Problem(
-        params,
-        weight,
-        chi1,
-        chi2,
-        e_m=args.e_m,
-        fq_degree=getattr(args, "fq_degree", None),
-        trunc=getattr(args, "trunc", None),
-        chi_cyclotomic=True if args.chi_cyclotomic else None,
-    )
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +358,12 @@ def _pair_problem_from_args(args) -> Problem:
 
 
 def _char_command(args, command: str) -> Tuple[dict, FieldParams, CharacterData]:
-    """The report head of ``dims`` and ``basis``: one character from the flags."""
+    """The report head of ``dims`` and ``basis``: the ``.chi`` node the flags
+    spell, read as a problem document's character is."""
     params = FieldParams(args.p, args.e, args.f)
-    cyclotomic = True if args.chi_cyclotomic else None
-    chi = _char_from_flags(params, args.chi_exps, args.chi_unram, cyclotomic, "chi")
-    if args.chi_trivial and not chi.declared_trivial:
-        raise InvalidInput("--chi-trivial contradicts the character data")
+    node = _char_node(args, "chi", cyclotomic=args.chi_cyclotomic or None,
+                      trivial=args.chi_trivial or None)
+    chi = _parse_character(params, node, ".chi")
     return {**_report_head(command, params), "chi": _char_dict(params, chi)}, params, chi
 
 
@@ -950,6 +942,10 @@ def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if value == []:  # argparse drops an explicit "--" value: --r=--
+                flag = "--" + name.replace("_", "-")
+                parser.error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

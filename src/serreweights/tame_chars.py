@@ -341,14 +341,16 @@ def _finish_character(
     cyclotomic: Optional[bool],
 ) -> CharacterData:
     """Derive the flags and check the record: the one place a character is
-    validated, so helpers that receive it trust it."""
+    validated, so helpers that receive it trust it.  Each part is checked
+    once; the trivial flag holds by construction."""
+    validate_signature(params, sig)
     _validate_unram(params, unram)
     trivial = _is_trivial_signature(params, sig) and unram.is_trivial(params.p)
     # Cyclotomic is declared, except mod 2 where it is the trivial character.
     chi = CharacterData(
         sig, unram, trivial, bool(cyclotomic) or (params.p == 2 and trivial)
     )
-    validate_character(params, chi)
+    _validate_declarations(params, chi)
     return chi
 
 
@@ -365,6 +367,12 @@ def validate_character(params: FieldParams, chi: CharacterData) -> None:
     )
     if chi.declared_trivial != trivial:
         raise InvariantError("trivial flag inconsistent with character data")
+    _validate_declarations(params, chi)
+
+
+def _validate_declarations(params: FieldParams, chi: CharacterData) -> None:
+    """The cyclotomic and mod-2 rules of a record whose trivial flag matches
+    its data."""
     if chi.declared_cyclotomic:
         if chi.signature != cyclotomic_inertia_signature(params):
             raise InvariantError(

@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, schema, and determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -377,22 +379,166 @@ PROBLEM_DOC = {
 }
 
 
-def test_problem_document_matches_flags(capsys, tmp_path):
+def _doc(params, weight, chi1, chi2, **rest):
+    p, e, f = params
+    return {"params": {"p": p, "e": e, "f": f}, "weight": weight,
+            "chi1": {"exps": chi1}, "chi2": {"exps": chi2}, **rest}
+
+
+def _flags(params, *rest):
+    p, e, f = params
+    return ["--p", str(p), "--e", str(e), "--f", str(f), *rest]
+
+
+# The worked instance of PROBLEM_DOC, without --e-m.
+PAIR_P3E2 = _flags((3, 2, 1), "--r", "2", "--chi1-exps", "2", "--chi2-exps", "1")
+DOC_P3E2 = _doc((3, 2, 1), {"r": [2]}, [2], [1])
+UNRAM_DOC = {**DOC_P3E2,
+             "chi1": {"exps": [2], "unram": {"degree": 2, "dlog": 3}},
+             "chi2": {"exps": [1], "unram": {"degree": 1, "dlog": 1}}}
+
+
+@pytest.mark.parametrize("command, flags, doc, code", [
+    pytest.param("lv", PAIR_P3E2 + ["--e-m", "2"], PROBLEM_DOC, 0, id="lv-r-e_m"),
+    pytest.param("profile", PAIR_P3E2, DOC_P3E2, 0, id="profile-r"),
+    pytest.param("oracle", PAIR_P3E2 + ["--e-m", "2"], PROBLEM_DOC, 0, id="oracle-e_m"),
+    pytest.param(
+        "lv", _flags((3, 1, 2), "--eta", "1,0",
+                     "--chi1-exps", "5,0", "--chi2-exps", "0,0"),
+        _doc((3, 1, 2), {"eta": [1, 0], "theta": [0, 0]}, [5, 0], [0, 0]),
+        0, id="lv-eta",
+    ),
+    pytest.param(
+        "lv", _flags((3, 1, 2), "--eta", "2,1", "--theta", "1,1",
+                     "--chi1-exps", "6,1", "--chi2-exps", "1,1"),
+        _doc((3, 1, 2), {"eta": [2, 1], "theta": [1, 1]}, [6, 1], [1, 1]),
+        0, id="lv-eta-theta",
+    ),
+    pytest.param(
+        "profile", PAIR_P3E2 + ["--chi1-unram", "2:3", "--chi2-unram", "1:1"],
+        UNRAM_DOC, 0, id="profile-unram",
+    ),
+    pytest.param(
+        "profile", _flags((3, 1, 1), "--r", "1", "--chi1-exps", "1", "--chi2-exps", "0",
+                          "--chi-cyclotomic"),
+        _doc((3, 1, 1), {"r": [1]}, [1], [0], chi_cyclotomic=True),
+        0, id="profile-cyclotomic",
+    ),
+    pytest.param(
+        "oracle", _flags((2, 1, 3), "--r=1,1,1", "--chi1-exps=2,1,2",
+                         "--chi2-exps=1,2,1", "--fq-degree", "6", "--trunc", "60"),
+        _doc((2, 1, 3), {"r": [1, 1, 1]}, [2, 1, 2], [1, 2, 1],
+             oracle={"fq_degree": 6, "trunc": 60}),
+        0, id="oracle-fq_degree-trunc",
+    ),
+    pytest.param(  # 3 does not divide p^f - 1 = 2
+        "profile", _flags((3, 1, 1), "--r", "2", "--chi1-exps", "0", "--chi2-exps", "0",
+                          "--e-m", "3"),
+        _doc((3, 1, 1), {"r": [2]}, [0], [0], e_m=3),
+        2, id="profile-bad-e_m",
+    ),
+])
+def test_problem_document_matches_flags(capsys, tmp_path, command, flags, doc, code):
+    """The flags spell a problem document: the same outcome, byte for byte."""
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(PROBLEM_DOC))
-    code, from_doc = run_json(capsys, ["lv", "--problem", str(path)])
-    assert code == 0
-    _, from_flags = run_json(
-        capsys,
-        ["lv", "--p", "3", "--e", "2", "--f", "1", "--r", "2",
-         "--chi2-exps", "1", "--chi1-exps", "2", "--e-m", "2"],
-    )
-    assert from_doc == from_flags
+    path.write_text(json.dumps(doc))
+    outcomes = []
+    for argv in ([command, *flags], [command, "--problem", str(path)]):
+        outcomes.append((run_command(argv), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+
+
+@pytest.mark.parametrize("command", ["profile", "lv", "oracle"])
+@pytest.mark.parametrize("flag", ["--p", "--e", "--f"])
+def test_missing_field_flag_exits_2(capsys, command, flag):
+    argv = [command, *PAIR_P3E2]
+    at = argv.index(flag)
+    del argv[at:at + 2]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: missing key at .params.{flag[2:]}\n"
+
+
+def test_chi2_unramified_is_checked_for_flags_and_documents(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(DOC_P3E2))
+    for source in (PAIR_P3E2, ["--problem", str(path)]):
+        assert run_command(["lv", *source, "--chi2-unramified"]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: --chi2-unramified contradicts the chi2 exponents\n"
+        )
+
+
+@pytest.mark.parametrize("exps, declare, code", [
+    ("2", [], 0), ("2", ["--chi-trivial"], 0), ("1", ["--chi-trivial"], 2),
+], ids=["trivial", "declared", "contradicted"])
+def test_chi_trivial_is_the_documents_trivial_declaration(capsys, exps, declare, code):
+    """An unset --chi-trivial declares nothing; a set one is ``trivial: true``."""
+    argv = ["dims", *_flags((3, 1, 1)), "--chi-exps", exps, *declare]
+    assert run_command(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == (
+            "invalid input: .chi.trivial = True contradicts the character data\n"
+        )
+    else:
+        assert json.loads(out)["chi"]["trivial"] is True
+
+
+_TEXT_FLAGS = ("--r", "--eta", "--theta", "--chi1-exps", "--chi2-exps",
+               "--chi1-unram", "--chi2-unram")
+
+
+@st.composite
+def _flag_argvs(draw):
+    """A profile or lv argv at p in {2, 3} and e, f <= 2.  One of --p/--e/--f
+    may be dropped.  Each text flag is absent, short text over the characters
+    "0-9 , : - _" and space, or a well-formed tuple or DEGREE:DLOG, so that
+    some argvs get past the parser and a few succeed."""
+    p = draw(st.sampled_from([2, 3]))
+    e, f = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    dropped = draw(st.none() | st.sampled_from(["--p", "--e", "--f"]))
+    argv = [draw(st.sampled_from(["profile", "lv"]))]
+    for flag, value in (("--p", p), ("--e", e), ("--f", f)):
+        if flag != dropped:
+            argv += [flag, str(value)]
+    text = st.text(alphabet="0123456789,:-_ ", max_size=5)
+    digits = st.lists(st.integers(0, p), min_size=f, max_size=f)
+    well_formed = {
+        "unram": st.tuples(st.integers(1, 2), st.integers(0, 3)).map("%d:%d".__mod__),
+        "other": digits.map(lambda xs: ",".join(map(str, xs))),
+    }
+    for flag in _TEXT_FLAGS:
+        kind = "unram" if flag.endswith("unram") else "other"
+        value = draw(st.none() | text | well_formed[kind])
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=300)
+@given(_flag_argvs())
+def test_flag_text_never_escapes(argv):
+    """Whatever text the flags carry, the outcome is an exit code: 0, bad
+    input (2) or a resource limit (3), never a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run_command(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--p", ["dims", "--p=--", "--e", "1", "--f", "1", "--chi-exps", "1"]),
+    ("--r", ["lv", *PAIR_P3E2, "--r=--"]),
+    ("--jobs", ["verify", "--jobs=--"]),
+], ids=["dims", "lv", "verify"])
+def test_double_dash_flag_value_exits_2(capsys, flag, argv):
+    """argparse drops an explicit "--" value and leaves an empty list."""
+    assert run_command(argv) == 2
+    assert f"argument {flag}: expected one argument\n" in capsys.readouterr().err
 
 
 def test_problem_document_from_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PROBLEM_DOC)))
     code, doc = run_json(capsys, ["lv", "--problem", "-"])
     assert code == 0
@@ -400,8 +546,6 @@ def test_problem_document_from_stdin(capsys, monkeypatch):
 
 
 def test_problem_document_bad_json_is_invalid_input(capsys, monkeypatch, tmp_path):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO('{"params": {"p": 3'))
     assert run_command(["lv", "--problem", "-"]) == 2
     assert "not valid JSON" in capsys.readouterr().err
