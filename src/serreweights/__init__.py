@@ -4,8 +4,8 @@ The package computes, over exact integer and rational arithmetic: the jump
 filtration dimensions of the first cohomology of a tame character, the
 window index sets and basis labels, the shift profile (t, s, I, xi) of a
 weight, the distinguished label subset by two combinatorial routes, and an
-independent re-derivation of that subset through residue pairings of
-truncated Artin-Hasse series.
+independent re-derivation of that subset through residue pairings against
+the dlogs of Artin-Hasse units.
 """
 
 from .cohomology import (
@@ -45,8 +45,6 @@ from .serre_basis import (
     w_prime,
 )
 from .series_oracle import (
-    artin_hasse_mod_p,
-    artin_hasse_rational,
     default_truncation,
     rederive_jvah,
     required_degree,
@@ -108,8 +106,6 @@ __all__ = [
     "TruncationInsufficient",
     "UnramifiedPart",
     "WeightProfile",
-    "artin_hasse_mod_p",
-    "artin_hasse_rational",
     "basis_labels",
     "canonical_signature",
     "char_quotient",

@@ -8,8 +8,9 @@ sums) as decimal strings so consumers never round them.
 
 The flags of ``profile``, ``lv`` and ``oracle`` spell a problem document,
 the same one ``--problem`` reads, and ``parse_problem`` alone builds and
-checks the ``Problem``; ``dims`` and ``basis`` read their flags as a
-document's ``.chi`` node.  Error messages name document paths.
+checks the ``Problem``; a pair flag beside ``--problem`` is rejected.
+``dims`` and ``basis`` read their flags as a document's ``.chi`` node.
+Error messages name document paths.
 
 Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
@@ -330,8 +331,17 @@ def _flags_document(args) -> dict:
 
 
 def _pair_problem_from_args(args) -> Problem:
-    """The problem of ``--problem``, or else the one the flags spell."""
+    """The problem of ``--problem``, or else the one the flags spell; a flag
+    beside ``--problem`` is rejected by the document path it spells."""
+    doc = _flags_document(args)
     if args.problem:
+        if doc:
+            paths = [
+                f".{key}.{sub}" if isinstance(node, dict) else f".{key}"
+                for key, node in doc.items()
+                for sub in (node if isinstance(node, dict) else [None])
+            ]
+            raise InvalidInput(f"flags given beside --problem: {', '.join(paths)}")
         import json
 
         try:
@@ -344,8 +354,6 @@ def _pair_problem_from_args(args) -> Problem:
             raise SchemaError(f"problem document is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise SchemaError(f"cannot read problem document: {exc}") from exc
-    else:
-        doc = _flags_document(args)
     problem = parse_problem(doc)
     if args.chi2_unramified and not is_unramified(problem.params, problem.chi2):
         raise InvalidInput("--chi2-unramified contradicts the chi2 exponents")

@@ -6,60 +6,52 @@ Artin-Hasse unit with coefficients in the tensor ring (residue field of the
 auxiliary extension) tensor F_q, and the label is kept exactly when some
 spanning monomial a has nonzero residue-trace pairing Tr res(a dg/g)
 against that unit g.  No unit series is built: a unit enters only through
-its logarithmic derivative dg/g, which is written down in closed form, and
+its logarithmic derivative dg/g, which has a closed form, and
 ``residue_trace_pairing`` takes that dlog directly.
 
 The tensor ring is realized componentwise: an element is a tuple of F_q
-values indexed by the embeddings of the auxiliary residue field, so ring
-operations are componentwise.  The p-th power map of the residue field
-acts on these coordinates as an index shift, which agrees with the
-componentwise p-th power only on tuples coming from the residue field
-itself.  For that reason a unit is never exponentiated from an arbitrary
-tuple: the tuple is decomposed over a basis of residue-field ("coherent")
-tuples by linear algebra, the unit is the product of one Artin-Hasse factor
-per basis tuple raised to its coordinate, and its dlog is the same
-combination of the factors' dlogs.
+values indexed by the n embeddings of the auxiliary residue field, ordered
+so that the conjugates x_i of one generator satisfy x_i^p = x_{i-1 mod n}.
+The dlog of the unit of a tuple lam at exponent m' follows in three steps.
 
-The coherent basis is the powers of the conjugates x_i of one generator,
-so its component matrix (x_i^t) is a Vandermonde matrix, inverted by
-Lagrange interpolation.  The dlog v E'(v)/E(v) of the mod-p Artin-Hasse
-series E is found once per prime by plain series division over F_p, with
-coefficients delta_k.  Substituting v -> lam v is a ring map that commutes
-with v d/dv, so the dlog of a factor E(lam v) has coefficients
-delta_k lam^k, componentwise, and u d/du = m' v d/dv at v = u^{m'}.  A
-tuple with coherent coordinates beta therefore has a unit whose dlog, at
-u^{k m'} and component i, is (m' delta_k mod p) P(x_i^k) with
-P(X) = sum_t beta_t X^t: the same sum as the beta-combination of the
-factors' dlogs, sum_t beta_t (x_i^t)^k, taken in a different order.  P is
-evaluated by Horner's rule at the points x_i^k, read from one table of
-conjugate powers per field, and the F_p factor is applied once per
-coefficient.  ``dlog_truncated`` divides an explicit series for its dlog;
-the tests use it to check the closed form against the definition.
+1. The Artin-Hasse exponential is E(v) = exp(sum_{j >= 0} v^{p^j} / p^j),
+   so log E = sum_j v^{p^j} / p^j and v E'(v)/E(v) = sum_j v^{p^j}: the
+   dlog of E is 1 at the powers of p and 0 at every other degree.
+2. For a residue-field tuple b, v -> b v is a ring map that commutes with
+   v d/dv, so E(b v) has dlog sum_j b^{p^j} v^{p^j}, and at v = u^{m'},
+   where u d/du = m' v d/dv, the dlog of E(b u^{m'}) is
+   m' sum_j b^{p^j} u^{p^j m'}.  Componentwise b^{p^j} is b rotated j
+   places, because component i of b is a polynomial in x_i and
+   x_i^{p^j} = x_{i-j}.
+3. An arbitrary tuple is not a residue-field tuple, and its componentwise
+   p-th power is not a rotation.  It is a combination lam = sum_t beta_t b_t
+   of the residue-field tuples b_t = (x_i^t)_i (a Vandermonde system in the
+   distinct x_i), with beta_t in F_q, and its unit is the product of the
+   factors E(b_t u^{m'}) raised to the exterior scalars beta_t.  Its dlog
+   is sum_t beta_t dlog E(b_t u^{m'}); at u^{p^j m'}, component i, that is
+   m' sum_t beta_t x_{i-j}^t = m' lam_{i-j}.  The decomposition and the
+   recombination cancel.
 
-The mod-p Artin-Hasse coefficients come from two routes that must agree:
-the exponential recurrence in exact fractions, and the product over n of
-(1 - x^n)^{-mu(n)/n}, whose binomial coefficients mod p are products of
-digit binomials by Lucas's theorem.  The series length is capped at
-``_MAX_TRUNCATION``, a resource limit checked before any field or series
-is built.
+So the unit's dlog is (m' mod p) times lam rotated j places at each degree
+p^j m', and zero elsewhere.  In the variable v it is known up to
+trunc // m', so in u up to the last degree before the next multiple of m'.
+A unit costs O(n log_p T) for truncation T.  ``dlog_truncated`` divides
+an explicit series for its dlog; the tests use it, with the Artin-Hasse
+coefficients and the honest unit series of ``tests/oracle_reference.py``,
+to check the closed form against the definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._gf import Element, FiniteField, field
 from .errors import (
-    IntegralityViolation,
     InternalInvariantViolation,
     InvalidInput,
     NonUnitConstantTerm,
-    ResourceLimitExceeded,
-    RouteMismatch,
     TruncationInsufficient,
 )
 from .serre_basis import (
@@ -71,154 +63,6 @@ from .serre_basis import (
 )
 from .tame_chars import CharacterData, FieldParams, niveau
 from .weight_lattice import WeightProfile
-
-# ---------------------------------------------------------------------------
-# Artin-Hasse coefficients
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def artin_hasse_rational(p: int, trunc: int) -> Tuple[Fraction, ...]:
-    """Exact coefficients c_0..c_D of exp(sum_n x^{p^n}/p^n).
-
-    Solved from E' = S'E where S is the inner sum: S' has coefficient 1 at
-    every degree p^n - 1 and 0 elsewhere, so (k+1) c_{k+1} is the sum of
-    c_{k+1-p^n} over p^n <= k+1.  Every denominator must be prime to p.
-    """
-    if trunc < 0:
-        raise InvalidInput(f"truncation degree must be >= 0, got {trunc}")
-    jumps = []
-    power = 1
-    while power <= trunc:
-        jumps.append(power)
-        power *= p
-    coeffs: List[Fraction] = [Fraction(1)]
-    for k in range(1, trunc + 1):
-        total = sum((coeffs[k - j] for j in jumps if j <= k), Fraction(0))
-        coeffs.append(total / k)
-    for k, c in enumerate(coeffs):
-        if c.denominator % p == 0:
-            raise IntegralityViolation(
-                f"coefficient {k} has denominator {c.denominator} divisible by {p}"
-            )
-    return tuple(coeffs)
-
-
-def _moebius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
-def _artin_hasse_moebius(p: int, trunc: int) -> Tuple[int, ...]:
-    """Mod-p coefficients via prod_{(n,p)=1} (1 - x^n)^{-mu(n)/n}.
-
-    binomial(e, k) mod p for the p-adic exponent e = -mu(n)/n is, by
-    Lucas's theorem, the product of binomial(e_j, k_j) mod p over the
-    base-p digits of e and k.  The theorem holds for p-adic e because
-    binomial(e, k) mod p depends only on e mod p^L once p^L > k, so the
-    digits of e mod p^L with p^L > trunc serve every k <= trunc.  For each
-    digit e_j the factors binomial(e_j, b), b up to the largest digit k_j
-    that occurs, come from one row by binomial(a, b) = binomial(a, b - 1)
-    (a - b + 1) / b, with the inverses of 1..min(p - 1, trunc) found once.
-    """
-    digits = 1
-    while p**digits <= trunc:
-        digits += 1
-    modulus = p**digits
-    inverse = [0, 1]
-    for b in range(2, min(p - 1, trunc) + 1):
-        inverse.append(-(p // b) * inverse[p % b] % p)
-    result = [0] * (trunc + 1)
-    result[0] = 1
-    for n in range(1, trunc + 1):
-        if n % p == 0:
-            continue
-        mu = _moebius(n)
-        if mu == 0:
-            continue
-        exponent = -mu * pow(n, -1, modulus) % modulus
-        top = trunc // n
-        rows = []  # rows[j][b] = binomial(e_j, b) mod p for every digit b of k <= top
-        place = 1
-        while place <= top:
-            a = exponent // place % p
-            row = [1]
-            for b in range(1, min(p - 1, top // place) + 1):
-                row.append(row[-1] * (a - b + 1) * inverse[b] % p)
-            rows.append(row)
-            place *= p
-        terms = []  # (degree, coefficient) of (1 - x^n)^exponent, ascending
-        for k in range(top + 1):
-            c = (-1) ** k % p
-            rest, j = k, 0
-            while rest and c:
-                c = c * rows[j][rest % p] % p
-                rest //= p
-                j += 1
-            if c:
-                terms.append((n * k, c))
-        merged = [0] * (trunc + 1)
-        for i, a in enumerate(result):
-            if a:
-                for j, c in terms:
-                    if i + j > trunc:
-                        break
-                    merged[i + j] = (merged[i + j] + a * c) % p
-        result = merged
-    return tuple(result)
-
-
-@lru_cache(maxsize=None)
-def artin_hasse_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
-    """Mod-p Artin-Hasse coefficients, computed twice and cross-checked."""
-    rational = artin_hasse_rational(p, trunc)
-    reduced = tuple(
-        c.numerator % p * pow(c.denominator, -1, p) % p for c in rational
-    )
-    moebius = _artin_hasse_moebius(p, trunc)
-    if reduced != moebius:
-        raise RouteMismatch(
-            f"exponential and Moebius-product routes disagree at p={p}, D={trunc}"
-        )
-    return reduced
-
-
-def _bucket(trunc: int) -> int:
-    """The least power of two (at least 64) that covers degree trunc."""
-    return max(64, 1 << (trunc - 1).bit_length())
-
-
-@lru_cache(maxsize=None)
-def _ah_dlog_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
-    """Coefficients delta_0..delta_D of v E'(v)/E(v), E the mod-p Artin-Hasse
-    series, by plain series division over F_p (E has constant term 1)."""
-    ah = artin_hasse_mod_p(p, trunc)
-    support = [k for k in range(1, trunc + 1) if ah[k]]
-    delta: List[int] = []
-    for d in range(trunc + 1):
-        acc = d * ah[d]
-        for k in support:
-            if k > d:
-                break
-            acc -= ah[k] * delta[d - k]
-        delta.append(acc % p)
-    return tuple(delta)
-
-
-def _ah_dlog_prefix(p: int, trunc: int) -> Tuple[int, ...]:
-    """delta_0..delta_trunc, served from the same cache buckets."""
-    return _ah_dlog_mod_p(p, _bucket(trunc))[: trunc + 1]
-
 
 # ---------------------------------------------------------------------------
 # The tensor ring and its series
@@ -326,132 +170,29 @@ def dlog_truncated(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _coherent_data(
-    p: int, r: int, n: int
-) -> Tuple[Tuple[Element, ...], Tuple[Tuple[Element, ...], ...]]:
-    """The conjugates x_i of the embedded degree-n residue field's generator,
-    and the inverse of the coherent basis matrix (for decomposing arbitrary
-    tuples).
-
-    x_i is the conjugate g^(p^((n - i) mod n)) of the subfield generator g,
-    found by repeated p-th powers.  Component i of coherent basis tuple t
-    is x_i^t, so the component matrix (x_i^t)_{i,t} is a Vandermonde matrix
-    in the n distinct x_i.
-    """
-    fq = field(p, r)
-    xs = [fq.zero] * n
-    x = fq.subfield_generator(n)
-    for j in range(n):
-        xs[-j % n] = x
-        x = fq.pow(x, p)
-    return tuple(xs), _vandermonde_inverse(fq, tuple(xs))
-
-
-def _vandermonde_inverse(
-    fq: FiniteField, xs: Tuple[Element, ...]
-) -> Tuple[Tuple[Element, ...], ...]:
-    """The inverse of (x_i^t)_{i,t}, by Lagrange interpolation in O(n^2).
-
-    Entry (t, i) is the X^t coefficient of L_i = prod_{j != i} (X - x_j)
-    divided by its value at x_i: L_i(x_k) = [i = k] says exactly that these
-    coefficients invert the matrix.  prod_j (X - x_j) is built once and
-    divided synthetically by each X - x_i.
-    """
-    n = len(xs)
-    poly = [fq.one]  # prod_j (X - x_j), coefficients ascending
-    for x in xs:
-        grown = [fq.zero] + poly
-        for k, c in enumerate(poly):
-            grown[k] = fq.sub(grown[k], fq.mul(x, c))
-        poly = grown
-    columns = []
-    for x in xs:
-        quotient = [fq.zero] * n
-        acc = fq.zero
-        for k in range(n, 0, -1):  # q_{k-1} = P_k + x q_k
-            acc = fq.add(poly[k], fq.mul(x, acc))
-            quotient[k - 1] = acc
-        value = fq.zero
-        for c in reversed(quotient):
-            value = fq.add(fq.mul(value, x), c)
-        if value == fq.zero:
-            raise InternalInvariantViolation("coherent basis matrix is singular")
-        scale = fq.inv(value)
-        columns.append([fq.mul(scale, c) for c in quotient])
-    return tuple(tuple(column[t] for column in columns) for t in range(n))
-
-
-def decompose_coherent(alg: TensorAlgebra, lam: TensorScalar) -> Tuple[Element, ...]:
-    """Coefficients of lam over the coherent basis, by the cached inverse;
-    zero components of lam cost nothing."""
-    _, inverse = _coherent_data(alg.fq.p, alg.fq.r, alg.n)
-    fq = alg.fq
-    support = [(i, x) for i, x in enumerate(lam) if x != fq.zero]
-    out = []
-    for row in inverse:
-        total = fq.zero
-        for i, x in support:
-            total = fq.add(total, fq.mul(row[i], x))
-        out.append(total)
-    return tuple(out)
-
-
-# Per (p, r, n): the componentwise powers (x_0^k, ..., x_{n-1}^k) of the
-# conjugates, for each degree k that a unit's dlog has needed so far.
-_CONJUGATE_POWERS: Dict[Tuple[int, int, int], Dict[int, Tuple[Element, ...]]] = {}
-
-
-def _conjugate_powers(fq: FiniteField, n: int, k: int) -> Tuple[Element, ...]:
-    """(x_i^k)_i, one ``pow`` per conjugate, kept in the field's table."""
-    key = (fq.p, fq.r, n)
-    table = _CONJUGATE_POWERS.setdefault(key, {})
-    row = table.get(k)
-    if row is None:
-        xs, _ = _coherent_data(*key)
-        row = table[k] = tuple(fq.pow(x, k) for x in xs)
-    return row
-
-
 def epsilon_unit(
     alg: TensorAlgebra, lam: TensorScalar, m_prime: int, trunc: int
 ) -> LaurentElement:
     """The dlog of the Artin-Hasse unit of an arbitrary tuple at exponent m'.
 
-    The tuple is decomposed as lam = sum_t beta_t b_t over the coherent
-    basis tuples b_t = (x_i^t)_i, and the unit combines the honest factors
-    E(b_t u^{m'}) with the exterior scalars beta_t, so its dlog is
-    sum_t beta_t dlog E(b_t u^{m'}).  With v = u^{m'}, u d/du = m' v d/dv
-    and dlog E(b_t v) has delta_k (x_i^t)^k at v^k, so the unit's dlog at
-    u^{k m'}, component i, is (m' delta_k mod p) P(x_i^k) with
-    P(X) = sum_t beta_t X^t.  P is evaluated by Horner's rule, once per
-    distinct point x_i^k, and the F_p factor is applied once per
-    coefficient.
+    At u^{p^j m'} with p^j <= trunc // m', component i is
+    (m' mod p) lam_{(i - j) mod n}; every other degree is zero (see the
+    module docstring).
     """
     if m_prime < 1:
         raise InvalidInput(f"the u-exponent must be >= 1, got {m_prime}")
     fq = alg.fq
-    top, *lower = reversed(decompose_coherent(alg, lam))  # beta_{n-1}, ..., beta_0
     v_trunc = trunc // m_prime
-    values: Dict[Element, Element] = {}  # P at each point met so far
+    c = m_prime % fq.p
     coeffs: Dict[int, TensorScalar] = {}
-    for k, delta in enumerate(_ah_dlog_prefix(fq.p, v_trunc)):
-        c = m_prime * delta % fq.p
-        if not c:
-            continue
-        row = []
-        for x in _conjugate_powers(fq, alg.n, k):
-            y = values.get(x)
-            if y is None:
-                y = top
-                for beta in lower:
-                    y = fq.add(fq.mul(y, x), beta)
-                values[x] = y
-            row.append(y)
+    if c and not alg.is_zero(lam):
         if c != 1:
-            row = [fq.scale(c, y) for y in row]
-        if any(y != fq.zero for y in row):
-            coeffs[k * m_prime] = tuple(row)
+            lam = tuple(fq.scale(c, x) for x in lam)
+        power = 1
+        while power <= v_trunc:
+            coeffs[power * m_prime] = lam
+            lam = lam[-1:] + lam[:-1]  # component i now reads component i - 1
+            power *= fq.p
     return LaurentElement(coeffs, (v_trunc + 1) * m_prime - 1)
 
 
@@ -522,16 +263,6 @@ def required_degree(params: FieldParams, chi: CharacterData) -> int:
     return lcm(params.f * chi.unram.order(params.p), chi.unram.order_field_degree)
 
 
-# The longest series the oracle builds, a resource limit rather than a
-# validity condition.  ``default_truncation`` is about 2 e p, so without it
-# an oracle query at a large prime would allocate series of billions of
-# terms.  Both Artin-Hasse routes run to the cache bucket of the
-# truncation, the cap itself here, and the exponential route in exact
-# fractions grows about as the cube: at the cap a cold instance takes a few
-# seconds (p = 2: ~5 s), and the next bucket would take ten times that.
-_MAX_TRUNCATION = 2048
-
-
 def default_truncation(params: FieldParams, profile: WeightProfile, e_m: int) -> int:
     q1 = params.tame_order
     xi_top = max(xi * e_m // q1 for xi in profile.xi)
@@ -562,10 +293,6 @@ def rederive_jvah(
     _check_profile_chi(params, profile, chi)
     if trunc is None:
         trunc = default_truncation(params, profile, e_m)
-    if trunc > _MAX_TRUNCATION:
-        raise ResourceLimitExceeded(
-            f"truncation degree {trunc} exceeds the supported cap {_MAX_TRUNCATION}"
-        )
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m

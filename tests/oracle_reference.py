@@ -1,28 +1,30 @@
-"""Earlier versions of the oracle's series code, kept as test oracles.
+"""The oracle's series from their definitions, kept as test oracles.
 
-The package builds no unit series: it decomposes a tuple over the coherent
-basis and writes the unit's dlog in Horner form, (m' delta_k mod p)
-P(x_i^k), from one table of conjugate powers per field, and pairs spanning
-monomials against that dlog directly.  It inverts the coherent basis
-matrix as a Vandermonde matrix by Lagrange interpolation, and its Moebius
-route takes each binomial(e, k) mod p from the base-p digits of e (Lucas).
-The versions here are the ones that came before, built from the
-definitions:
+The package writes the dlog of an Artin-Hasse unit in closed form: at
+u^{p^j m'} it is (m' mod p) times the tuple rotated j places, and zero at
+every other degree.  It computes no Artin-Hasse coefficient, no
+decomposition over the coherent basis and no conjugate power.  The
+definitions that the closed form is checked against live here:
 
+- ``artin_hasse_rational`` is the exponential recurrence in exact
+  fractions, and ``artin_hasse_mod_p`` reduces it mod p and cross-checks it
+  against the product over n of (1 - x^n)^{-mu(n)/n}
+  (``artin_hasse_moebius``), each binomial(e, k) mod p a product of k
+  factors modulo p^(trunc + 2);
 - ``epsilon_series`` is the honest unit series sum_k c_k lam^k u^{k m'},
   and ``series_mul`` multiplies two truncated series, so a pairing can be
   taken against ``dlog_truncated`` of an explicit unit;
 - the basis tuples are Frobenius images of the powers of the subfield
   generator, each exponent m' gets its own compressed series E(lam v) from
   ``epsilon_series`` divided by ``dlog_truncated`` over the tensor ring,
-  and a unit's dlog is the beta-scaled sum of those series;
-- the component matrix is inverted by Gauss-Jordan elimination;
-- binomial(e, k) mod p is a product of k factors modulo p^(trunc + 2).
+  and a unit's dlog is the beta-scaled sum of those series, with the
+  coordinates beta from the Gauss-Jordan inverse of the component matrix.
 
-Of the package they use only the finite fields, the tensor ring, the
-mod-p Artin-Hasse coefficients and ``dlog_truncated``.
+Of the package they use only the finite fields, the tensor ring and
+``dlog_truncated``.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -31,19 +33,54 @@ from serreweights.errors import (
     IntegralityViolation,
     InternalInvariantViolation,
     InvalidInput,
+    RouteMismatch,
 )
 from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
-    _bucket,
-    artin_hasse_mod_p,
     dlog_truncated,
 )
 
 
-def _ah_prefix(p: int, trunc: int) -> Tuple[int, ...]:
-    """Mod-p coefficients 0..trunc, served from the package's cache buckets."""
-    return artin_hasse_mod_p(p, _bucket(trunc))[: trunc + 1]
+@lru_cache(maxsize=None)
+def artin_hasse_rational(p: int, trunc: int) -> Tuple[Fraction, ...]:
+    """Exact coefficients c_0..c_D of exp(sum_n x^{p^n}/p^n).
+
+    Solved from E' = S'E where S is the inner sum: S' has coefficient 1 at
+    every degree p^n - 1 and 0 elsewhere, so (k+1) c_{k+1} is the sum of
+    c_{k+1-p^n} over p^n <= k+1.  Every denominator must be prime to p.
+    """
+    if trunc < 0:
+        raise InvalidInput(f"truncation degree must be >= 0, got {trunc}")
+    jumps = []
+    power = 1
+    while power <= trunc:
+        jumps.append(power)
+        power *= p
+    coeffs: List[Fraction] = [Fraction(1)]
+    for k in range(1, trunc + 1):
+        total = sum((coeffs[k - j] for j in jumps if j <= k), Fraction(0))
+        coeffs.append(total / k)
+    for k, c in enumerate(coeffs):
+        if c.denominator % p == 0:
+            raise IntegralityViolation(
+                f"coefficient {k} has denominator {c.denominator} divisible by {p}"
+            )
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def artin_hasse_mod_p(p: int, trunc: int) -> Tuple[int, ...]:
+    """Mod-p Artin-Hasse coefficients, computed twice and cross-checked."""
+    reduced = tuple(
+        c.numerator % p * pow(c.denominator, -1, p) % p
+        for c in artin_hasse_rational(p, trunc)
+    )
+    if reduced != artin_hasse_moebius(p, trunc):
+        raise RouteMismatch(
+            f"exponential and Moebius-product routes disagree at p={p}, D={trunc}"
+        )
+    return reduced
 
 
 def epsilon_series(
@@ -57,7 +94,7 @@ def epsilon_series(
     """
     if m_prime < 1:
         raise InvalidInput(f"the u-exponent must be >= 1, got {m_prime}")
-    ah = _ah_prefix(alg.fq.p, trunc // m_prime)
+    ah = artin_hasse_mod_p(alg.fq.p, trunc // m_prime)
     out = {}
     power = alg.one
     for k, ck in enumerate(ah):

@@ -19,13 +19,12 @@ from multiprocessing import Pool, cpu_count
 import pytest
 
 import oracles
+from oracle_reference import artin_hasse_mod_p, artin_hasse_rational
 from serreweights import (
     FieldParams,
     SerreWeight,
     SerreWeightsError,
     UnramifiedPart,
-    artin_hasse_mod_p,
-    artin_hasse_rational,
     basis_labels,
     char_quotient,
     character,

@@ -193,20 +193,17 @@ ORACLE_LARGE_P = ["oracle", "--p", "1000000007", "--e", "1", "--f", "1", "--r=1"
 
 
 def test_truncation_cap_exits_3_before_any_series(capsys):
+    """There is no truncation cap: the oracle writes each unit's dlog in
+    closed form, one term per power of p up to the truncation, so a
+    truncation of 2 * 10^9 at p = 10^9 + 7 costs two terms a unit."""
     start = time.perf_counter()
-    assert run_command(ORACLE_LARGE_P) == 3
+    code, doc = run_json(capsys, ORACLE_LARGE_P)
     assert time.perf_counter() - start < 60.0  # no series of 2 * 10^9 terms
-    assert capsys.readouterr().err == (
-        "resource limit: truncation degree 2000000014 exceeds the supported cap 2048\n"
-    )
-    # an explicit truncation above the cap is the same outcome, and one
-    # below it is not a resource limit
-    assert run_command(ORACLE_F3 + ["--trunc", "2049"]) == 3
-    assert capsys.readouterr().err == (
-        "resource limit: truncation degree 2049 exceeds the supported cap 2048\n"
-    )
-    assert run_command(ORACLE_F3 + ["--trunc", "60"]) == 0
-    capsys.readouterr()
+    assert code == 0
+    assert doc["agree"] is True and doc["status"] == "ok"
+    for trunc in ("2049", "60"):
+        code, doc = run_json(capsys, ORACLE_F3 + ["--trunc", trunc])
+        assert code == 0 and doc["agree"] is True, trunc
 
 
 def test_oracle_at_p13_agrees(capsys):
@@ -468,6 +465,29 @@ def test_chi2_unramified_is_checked_for_flags_and_documents(capsys, tmp_path):
         assert capsys.readouterr().err == (
             "invalid input: --chi2-unramified contradicts the chi2 exponents\n"
         )
+
+
+@pytest.mark.parametrize("command", ["profile", "lv", "oracle"])
+def test_flags_beside_problem_exit_2(capsys, tmp_path, command):
+    """A pair flag beside --problem is rejected by the path it would set;
+    --chi2-unramified asserts and sets nothing, so it stays allowed."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(DOC_P3E2))
+    problem = [command, "--problem", str(path)]
+    assert run_command(problem + ["--p", "5", "--e", "9", "--r", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "invalid input: flags given beside --problem: .params.p, .params.e, .weight.r\n"
+    )
+    assert run_command(problem + ["--chi1-unram", "2:3", "--e-m", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: flags given beside --problem: .chi1.unram, .e_m\n"
+    )
+    unramified = tmp_path / "unramified.json"
+    unramified.write_text(json.dumps(_doc((3, 1, 1), {"r": [2]}, [0], [0])))
+    assert run_command([command, "--problem", str(unramified), "--chi2-unramified"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("exps, declare, code", [

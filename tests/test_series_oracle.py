@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 import oracle_reference
-import serreweights.series_oracle as series_oracle
-from oracle_reference import epsilon_series, series_mul
+from oracle_reference import (
+    artin_hasse_mod_p,
+    artin_hasse_rational,
+    epsilon_series,
+    series_mul,
+)
+import serreweights.io_cli as io_cli
 from serreweights import (
     FieldParams,
     InvalidInput,
     NonUnitConstantTerm,
-    ResourceLimitExceeded,
+    NoValidShift,
     TruncationInsufficient,
     UnramifiedPart,
-    artin_hasse_mod_p,
-    artin_hasse_rational,
     char_quotient,
     character,
     j_v_ah,
@@ -29,10 +32,6 @@ from serreweights._gf import field
 from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
-    _MAX_TRUNCATION,
-    _ah_dlog_prefix,
-    _artin_hasse_moebius,
-    _coherent_data,
     default_truncation,
     dlog_truncated,
     epsilon_unit,
@@ -93,9 +92,9 @@ def test_artin_hasse_dlog_identity(p):
         n *= p
     assert logd.coeffs == expect
     assert logd.trunc == bound
-    # the F_p division the dlog tables start from gives the same series
-    delta = _ah_dlog_prefix(p, bound)
-    assert {d: (fq.scalar(c),) for d, c in enumerate(delta) if c} == expect
+    # the closed form: delta_k = 1 exactly when k is a power of p
+    unit = epsilon_unit(alg, alg.one, 1, bound)
+    assert (unit.coeffs, unit.trunc) == (expect, bound)
 
 
 def test_dlog_examples():
@@ -186,20 +185,14 @@ def test_epsilon_unit_agrees_with_series_on_coherent_tuples():
         )
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 11, 13])
-def test_lucas_moebius_route_matches_the_per_k_reference(p):
-    # the digit count L of the exponent changes at each power of p
-    for trunc in sorted({0, 1, 2, p - 1, p, p + 1, p * p - 1, p * p, 100, 255, 256}):
-        assert _artin_hasse_moebius(p, trunc) == (
-            oracle_reference.artin_hasse_moebius(p, trunc)
-        ), trunc
-
-
 # (p, r, n): the two benchmark fields at their component counts, two small
 # subfield embeddings, a field whose elements take two bytes per slot, and
-# a single component
-REFERENCE_FIELDS = [(2, 18, 9), (3, 12, 12), (2, 6, 3), (3, 4, 4), (11, 2, 2), (3, 2, 1)]
-# trunc // m' reaches powers of 2, 3 and 11, the degrees where the dlog
+# two single components, the second at a prime where the truncations reach
+# p but not p^2
+REFERENCE_FIELDS = [
+    (2, 18, 9), (3, 12, 12), (2, 6, 3), (3, 4, 4), (11, 2, 2), (3, 2, 1), (13, 2, 1),
+]
+# trunc // m' reaches powers of 2, 3, 11 and 13, the degrees where the dlog
 # of the Artin-Hasse series is nonzero
 REFERENCE_TRUNCS = (0, 1, 2, 4, 8, 9, 11, 16, 22, 27, 40)
 
@@ -218,10 +211,8 @@ def _reference_tuples(fq, n):
 
 
 @pytest.mark.parametrize("p, r, n", REFERENCE_FIELDS)
-def test_epsilon_unit_matches_the_series_combination_reference(monkeypatch, p, r, n):
-    # a fresh conjugate-power table, so it grows from nothing in this order
-    # of requests; m' = beyond exceeds every truncation
-    monkeypatch.setattr(series_oracle, "_CONJUGATE_POWERS", {})
+def test_epsilon_unit_matches_the_series_combination_reference(p, r, n):
+    # m' = beyond exceeds every truncation
     alg = TensorAlgebra(field(p, r), n)
     cache = {}
     beyond = max(REFERENCE_TRUNCS) + 1
@@ -233,22 +224,6 @@ def test_epsilon_unit_matches_the_series_combination_reference(monkeypatch, p, r
                 assert (got.coeffs, got.trunc) == (want.coeffs, want.trunc), (
                     trunc, m_prime, lam,
                 )
-
-
-@pytest.mark.parametrize("p, r, n", REFERENCE_FIELDS)
-def test_coherent_inverse_matches_gauss_jordan(p, r, n):
-    fq = field(p, r)
-    xs, inverse = _coherent_data(p, r, n)
-    basis = tuple(tuple(fq.pow(x, t) for x in xs) for t in range(n))
-    assert basis == oracle_reference.coherent_basis(fq, n)
-    matrix = oracle_reference.component_matrix(basis)
-    assert inverse == oracle_reference.matrix_inverse(fq, matrix)
-    for t in range(n):
-        for s in range(n):
-            total = fq.zero
-            for i in range(n):
-                total = fq.add(total, fq.mul(inverse[t][i], matrix[i][s]))
-            assert total == (fq.one if t == s else fq.zero)
 
 
 def test_pairing_truncation_insufficient():
@@ -320,22 +295,13 @@ def test_rederive_fixture_f3_empty():
     assert rederive_jvah(FP_F3, prof, quot) == frozenset()
 
 
-def test_truncation_cap_is_checked_before_any_field(monkeypatch):
+def test_truncation_cap_is_checked_before_any_field():
+    """There is no truncation cap: a unit's dlog costs O(n log_p T), so a
+    truncation above 2048 is answered like any other."""
     prof, quot = _fixture_f1()
-
-    def no_field(p, r):
-        raise AssertionError("a field was built above the truncation cap")
-
-    monkeypatch.setattr(series_oracle, "field", no_field)
-    with pytest.raises(ResourceLimitExceeded, match="truncation degree"):
-        rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=_MAX_TRUNCATION + 1)
-    monkeypatch.undo()
-    # the cap itself is a valid request (shown at a lowered cap, where the
-    # series are cheap)
-    monkeypatch.setattr(series_oracle, "_MAX_TRUNCATION", 40)
-    assert rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=40) == j_v_ah(FP_F1, prof, quot, 2)
-    with pytest.raises(ResourceLimitExceeded):
-        rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=41)
+    want = j_v_ah(FP_F1, prof, quot, 2)
+    for trunc in (40, 41, 2049):
+        assert rederive_jvah(FP_F1, prof, quot, e_m=2, trunc=trunc) == want
 
 
 def test_rederive_with_nontrivial_unramified_part():
@@ -385,3 +351,26 @@ def test_rederive_over_large_coefficient_fields(
     got = rederive_jvah(params, prof, quot)
     assert got == j_v_ah(params, prof, quot) == j_v_ah_bruteforce(params, prof, quot)
     assert len(got) == 3
+
+
+# The cells of the wider grid: every point of (7, 3, 3) and most of (7, 1, 3)
+# need a truncation above 2048 with chi1's unramified part of order p - 1.
+WIDE_CELLS = [(5, 3, 3), (7, 1, 3), (7, 2, 2), (7, 3, 3), (3, 1, 4)]
+
+
+def test_three_routes_agree_on_the_wider_grid():
+    """Every 97th point of the wider cells, chi1 with unramified part of
+    order p - 1: the oracle, the constructive route and the brute-force
+    witness search give the same labels."""
+    specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
+    checked = 0
+    for spec in specs[::97]:
+        try:
+            params, _, _, chi, profile = io_cli._grid_instance(spec, UnramifiedPart(1, 1))
+        except NoValidShift:
+            continue
+        want = j_v_ah(params, profile, chi)
+        assert rederive_jvah(params, profile, chi) == want, spec
+        assert j_v_ah_bruteforce(params, profile, chi) == want, spec
+        checked += 1
+    assert checked == 577
