@@ -44,11 +44,7 @@ from .serre_basis import (
     validate_e_m,
     w_prime,
 )
-from .series_oracle import (
-    default_truncation,
-    rederive_jvah,
-    required_degree,
-)
+from .series_oracle import rederive_jvah, required_degree
 from .tame_chars import (
     CharacterData,
     FieldParams,
@@ -111,7 +107,6 @@ __all__ = [
     "char_quotient",
     "character",
     "cyclotomic_inertia_signature",
-    "default_truncation",
     "exponent_class",
     "graded_dimension",
     "h1_dimension",

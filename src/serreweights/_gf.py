@@ -251,15 +251,6 @@ class FiniteField:
             _poly_inverse(p, list(self.modulus) + [1], list(self.coefficients(a)))
         )
 
-    def frobenius(self, a: Element, times: int = 1) -> Element:
-        return self.pow(a, self.p ** (times % self.r))
-
-    def subfield_generator(self, s: int) -> Element:
-        """A fixed generator of the F_{p^s} inside this field (s | r)."""
-        if self.r % s:
-            raise InvalidInput(f"{s} does not divide the field degree {self.r}")
-        return self.pow(self.gen, (self.order - 1) // (self.p**s - 1))
-
     def element_order(self, a: Element) -> int:
         if a == self.zero:
             raise InvalidInput("0 has no multiplicative order")

@@ -6,16 +6,18 @@ order, every set is sorted, rationals are emitted as "num/den" strings in
 lowest terms, and number-theoretic integers (window indices, xi, digit
 sums) as decimal strings so consumers never round them.
 
-The flags of ``profile``, ``lv`` and ``oracle`` spell a problem document,
-the same one ``--problem`` reads, and ``parse_problem`` alone builds and
-checks the ``Problem``; a pair flag beside ``--problem`` is rejected.
+The pair commands ``profile``, ``lv`` and ``oracle`` take the same flags,
+which spell a problem document, the same one ``--problem`` reads, and
+``parse_problem`` alone builds and checks the ``Problem``; a pair flag
+beside ``--problem`` is rejected, and so is a document key nothing reads.
 ``dims`` and ``basis`` read their flags as a document's ``.chi`` node.
 Error messages name document paths.
 
 Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
 comparison fails; 2 for invalid input; 3 when a valid request exceeds a
-resource limit (the oracle's coefficient-field degree cap).
+resource limit (the oracle's coefficient-field degree cap, or the bound
+below which the primality test of p is exact).
 
 ``argparse``, ``json``, ``csv`` and ``multiprocessing`` are imported where
 used, so importing the library loads none of them.
@@ -89,9 +91,18 @@ class Problem:
     chi1: CharacterData
     chi2: CharacterData
     e_m: Optional[int] = None
-    fq_degree: Optional[int] = None
-    trunc: Optional[int] = None
     chi_cyclotomic: Optional[bool] = None
+
+
+def _object(node, path: str, *keys: str) -> dict:
+    """``node`` as an object whose keys are all among ``keys``."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"expected an object at {path}" if path
+                          else "expected a top-level object")
+    for key in node:
+        if key not in keys:
+            raise SchemaError(f"unknown key at {path}.{key}")
+    return node
 
 
 def _node(doc: dict, key: str, path: str, required: bool = True):
@@ -136,16 +147,14 @@ def _int_list_at(doc: dict, key: str, path: str) -> Tuple[int, ...]:
 def _parse_unram(node, path: str) -> UnramifiedPart:
     if node is None:
         return UnramifiedPart()
-    if not isinstance(node, dict):
-        raise SchemaError(f"expected an object at {path}")
+    _object(node, path, "degree", "dlog")
     degree = _int_at(node, "degree", path)
     dlog = _int_at(node, "dlog", path)
     return UnramifiedPart(degree, dlog)
 
 
 def _parse_character(params: FieldParams, node, path: str) -> CharacterData:
-    if not isinstance(node, dict):
-        raise SchemaError(f"expected an object at {path}")
+    _object(node, path, "exps", "unram", "cyclotomic", "trivial")
     exps = _int_list_at(node, "exps", path)
     unram = _parse_unram(node.get("unram"), f"{path}.unram")
     cyclotomic = _bool_at(node, "cyclotomic", path)
@@ -158,19 +167,14 @@ def _parse_character(params: FieldParams, node, path: str) -> CharacterData:
 
 def parse_problem(doc: dict) -> Problem:
     """Validate a structured problem document into component objects."""
-    if not isinstance(doc, dict):
-        raise SchemaError("expected a top-level object")
-    params_node = _node(doc, "params", "")
-    if not isinstance(params_node, dict):
-        raise SchemaError("expected an object at .params")
+    _object(doc, "", "params", "weight", "chi1", "chi2", "e_m", "chi_cyclotomic")
+    params_node = _object(_node(doc, "params", ""), ".params", "p", "e", "f")
     params = FieldParams(
         _int_at(params_node, "p", ".params"),
         _int_at(params_node, "e", ".params"),
         _int_at(params_node, "f", ".params"),
     )
-    weight_node = _node(doc, "weight", "")
-    if not isinstance(weight_node, dict):
-        raise SchemaError("expected an object at .weight")
+    weight_node = _object(_node(doc, "weight", ""), ".weight", "r", "eta", "theta")
     if "r" in weight_node:
         weight = weight_from_r(params, _int_list_at(weight_node, "r", ".weight"))
     else:
@@ -186,15 +190,8 @@ def parse_problem(doc: dict) -> Problem:
         raise InvariantError(
             f"e_m must divide p^f - 1 = {params.tame_order}, got {e_m}"
         )
-    fq_degree = trunc = None
-    oracle_node = doc.get("oracle")
-    if oracle_node is not None:
-        if not isinstance(oracle_node, dict):
-            raise SchemaError("expected an object at .oracle")
-        fq_degree = _int_at(oracle_node, "fq_degree", ".oracle", required=False)
-        trunc = _int_at(oracle_node, "trunc", ".oracle", required=False)
     chi_cyclotomic = _bool_at(doc, "chi_cyclotomic", "")
-    return Problem(params, weight, chi1, chi2, e_m, fq_degree, trunc, chi_cyclotomic)
+    return Problem(params, weight, chi1, chi2, e_m, chi_cyclotomic)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +319,6 @@ def _flags_document(args) -> dict:
         chi1=_char_node(args, "chi1"),
         chi2=_char_node(args, "chi2"),
         e_m=args.e_m,
-        oracle=_given(  # oracle flags only exist on the oracle command
-            fq_degree=getattr(args, "fq_degree", None),
-            trunc=getattr(args, "trunc", None),
-        ),
         chi_cyclotomic=args.chi_cyclotomic or None,
     )
 
@@ -478,14 +471,7 @@ def _oracle_fields(problem: Problem) -> Tuple[dict, int]:
     payload, profile, chi = _profile_payload(problem)
     constructive = j_v_ah(params, profile, chi, problem.e_m)
     bruteforce = j_v_ah_bruteforce(params, profile, chi, problem.e_m)
-    oracle = rederive_jvah(
-        params,
-        profile,
-        chi,
-        e_m=problem.e_m,
-        fq_degree=problem.fq_degree,
-        trunc=problem.trunc,
-    )
+    oracle = rederive_jvah(params, profile, chi, problem.e_m)
     agree = constructive == bruteforce == oracle
     body = {
         **payload,
@@ -894,14 +880,6 @@ def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
     _add_output_flags(parser)
 
 
-def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
-    _add_pair_flags(parser)
-    parser.add_argument("--fq-degree", type=int, dest="fq_degree",
-                        help="coefficient field degree for the oracle")
-    parser.add_argument("--trunc", type=int,
-                        help="series truncation degree for the oracle")
-
-
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p-max", type=int, default=3)
     parser.add_argument("--e-max", type=int, default=2)
@@ -936,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("basis", cmd_basis, _add_char_flags, "index sets and basis labels"),
         ("profile", cmd_profile, _add_pair_flags, "shift profile (t, s, I, xi)"),
         ("lv", cmd_lv, _add_pair_flags, "distinguished subspace labels"),
-        ("oracle", cmd_oracle, _add_oracle_flags, "residue-pairing re-derivation"),
+        ("oracle", cmd_oracle, _add_pair_flags, "residue-pairing re-derivation"),
         ("verify", cmd_verify, _add_verify_flags, "run the property suite on a grid"),
         ("sweep", cmd_sweep, _add_sweep_flags, "CSV sweep over a parameter grid"),
     ):

@@ -35,7 +35,10 @@ The dlog of the unit of a tuple lam at exponent m' follows in three steps.
 So the unit's dlog is (m' mod p) times lam rotated j places at each degree
 p^j m', and zero elsewhere.  In the variable v it is known up to
 trunc // m', so in u up to the last degree before the next multiple of m'.
-A unit costs O(n log_p T) for truncation T.  ``dlog_truncated`` divides
+A unit costs O(n log_p T) for truncation T.  ``rederive_jvah`` takes T to
+be the largest -degree among its spanning monomials, the deepest
+coefficient a residue reads, so every pairing it makes is exact and its
+labels do not depend on T.  ``dlog_truncated`` divides
 an explicit series for its dlog; the tests use it, with the Artin-Hasse
 coefficients and the honest unit series of ``tests/oracle_reference.py``,
 to check the closed form against the definition.
@@ -263,48 +266,29 @@ def required_degree(params: FieldParams, chi: CharacterData) -> int:
     return lcm(params.f * chi.unram.order(params.p), chi.unram.order_field_degree)
 
 
-def default_truncation(params: FieldParams, profile: WeightProfile, e_m: int) -> int:
-    q1 = params.tame_order
-    xi_top = max(xi * e_m // q1 for xi in profile.xi)
-    m_top = -(-params.e * params.p * e_m // (params.p - 1))
-    return 2 * max(xi_top, m_top, 1)
-
-
 def rederive_jvah(
     params: FieldParams,
     profile: WeightProfile,
     chi: CharacterData,
     e_m: Optional[int] = None,
-    fq_degree: Optional[int] = None,
-    trunc: Optional[int] = None,
 ) -> FrozenSet[BasisLabel]:
     """Label subset by explicit residue pairings; must match j_v_ah.
 
-    For each basis label the dlog of its unit at exponent m' is written
-    down; for each (i, d) a spanning monomial at degree d e_M - xi'_i; the
-    label survives iff some pairing is nonzero.  Everything happens in
-    truncated series over the componentwise tensor ring.
+    For each (i, d) a spanning monomial at degree d e_M - xi'_i; for each
+    basis label the dlog of its unit at exponent m', known up to the
+    largest -degree of a spanning monomial, so every pairing is exact; the
+    label survives iff some pairing is nonzero.  The coefficients lie in
+    the least field that ``required_degree`` names.
     """
-    if trunc is not None and trunc < 0:
-        raise InvalidInput(f"truncation degree must be >= 0, got {trunc}")
     if e_m is None:
         e_m = params.tame_order
     validate_e_m(params, chi, e_m)
     _check_profile_chi(params, profile, chi)
-    if trunc is None:
-        trunc = default_truncation(params, profile, e_m)
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m
     order = chi.unram.order(p)
-    degree_needed = required_degree(params, chi)
-    if fq_degree is None:
-        fq_degree = degree_needed
-    elif fq_degree % degree_needed:
-        raise InvalidInput(
-            f"coefficient field degree {fq_degree} is not a multiple of {degree_needed}"
-        )
-    fq = field(p, fq_degree)
+    fq = field(p, required_degree(params, chi))
     r_mu = chi.unram.order_field_degree
     a_val = fq.pow(fq.gen, (fq.order - 1) // (p**r_mu - 1) * chi.unram.dlog)
     if fq.element_order(a_val) != order:
@@ -324,6 +308,7 @@ def rederive_jvah(
                 "trivial quotient but xi'_0 is not a multiple of e_M"
             )
         spanning.append(monomial(alg, 0, lambda_tuple(alg, f, 0, a_val, inverse=True)))
+    trunc = max([0] + [-d for a in spanning for d in a.coeffs])
     labels = set()
     for m in w_prime(params, chi):
         m_prime = m // scale

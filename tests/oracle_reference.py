@@ -141,11 +141,11 @@ def series_mul(alg: TensorAlgebra, a: LaurentElement, b: LaurentElement) -> Laur
 
 def coherent_basis(fq, n: int) -> Tuple[Tuple[bytes, ...], ...]:
     """Tuple t has component i equal to Frob^((n - i) mod n)(g^t)."""
-    gen = fq.subfield_generator(n)
+    gen = fq.pow(fq.gen, (fq.order - 1) // (fq.p**n - 1))
     basis = []
     g_power = fq.one
     for _ in range(n):
-        basis.append(tuple(fq.frobenius(g_power, (n - i) % n) for i in range(n)))
+        basis.append(tuple(fq.pow(g_power, fq.p ** ((n - i) % n)) for i in range(n)))
         g_power = fq.mul(g_power, gen)
     return tuple(basis)
 
