@@ -69,6 +69,7 @@ from .tame_chars import (
 from .weight_lattice import (
     SerreWeight,
     _admissible,
+    _least_shift,
     reduced_exponents,
     ts_profile,
     twist_normalize,
@@ -176,6 +177,9 @@ def parse_problem(doc: dict) -> Problem:
     )
     weight_node = _object(_node(doc, "weight", ""), ".weight", "r", "eta", "theta")
     if "r" in weight_node:
+        beside = [f".weight.{key}" for key in ("eta", "theta") if key in weight_node]
+        if beside:
+            raise SchemaError(f".weight.r given beside {', '.join(beside)}")
         weight = weight_from_r(params, _int_list_at(weight_node, "r", ".weight"))
     else:
         weight = SerreWeight(
@@ -311,7 +315,7 @@ def _flags_document(args) -> dict:
     weight = _given(
         r=_csv_node(args.r), eta=_csv_node(args.eta), theta=_csv_node(args.theta)
     )
-    if "eta" in weight and "theta" not in weight:
+    if weight.keys() == {"eta"}:
         weight["theta"] = [0] * len(weight["eta"])
     return _given(
         params=_given(p=args.p, e=args.e, f=args.f),
@@ -546,14 +550,17 @@ def _grid_pair(
 
     The shift vectors keep chi2's class, so t lies in it, and
     s - t = (r + e - 1) - 2t puts chi1 = (chi1/chi2) * chi2 in the class of
-    r + e - 1 less the class of chi2, whether or not a shift subset exists.
+    r + e - 1 less the class of chi2.  The shift subset depends on chi2 and
+    r alone, so it is searched before chi1 is built: a point without one
+    raises NoValidShift (or MinimalityAmbiguous), as ``ts_profile`` would.
     """
     p, e, f, chi2_class, r = spec
     params = FieldParams(p, e, f)
     zeros = (0,) * (f - 1)
+    chi2 = character(params, (chi2_class,) + zeros)
+    _least_shift(params, r, reduced_exponents(params, chi2))  # both in range
     chi1_class = exponent_class(params, tuple(ri + e - 1 for ri in r)) - chi2_class
-    chi1 = character(params, (chi1_class,) + zeros, unram=unram)
-    return params, chi1, character(params, (chi2_class,) + zeros)
+    return params, character(params, (chi1_class,) + zeros, unram=unram), chi2
 
 
 def _grid_instance(spec: GridSpec, unram: UnramifiedPart = UnramifiedPart()):
@@ -698,7 +705,14 @@ def _verify_pair_instance(spec: GridSpec) -> List[Tuple[str, str]]:
 
 
 def _pair_checks(spec: GridSpec) -> Iterator[str]:
-    """Profile and label-set properties for one (r, chi2) grid point."""
+    """Profile and label-set properties for one (r, chi2) grid point.
+
+    Each route runs once at the default e_M and its labels serve every
+    property that reads them.  ``j_v_ah`` and ``j_v_ah_bruteforce`` take
+    e_M = None to mean e_M = p^f - 1, so the default runs are also the d = 1
+    case of e_m_independence, which fails there exactly when the two routes
+    disagree; the e_M loop runs the divisors d >= 2 only.
+    """
     p, e, f, _, r = spec
     params, chi1, chi2, chi, profile = _grid_instance(spec)
     q1 = params.tame_order
@@ -721,16 +735,20 @@ def _pair_checks(spec: GridSpec) -> Iterator[str]:
             if not profile.j_min <= {i for i in range(f) if mask >> i & 1}:
                 yield "j_min_least"
     constructive = j_v_ah(params, profile, chi)
-    if j_v_ah_bruteforce(params, profile, chi) != constructive:
+    bruteforce = j_v_ah_bruteforce(params, profile, chi)
+    if bruteforce != constructive:
         yield "constructive_vs_bruteforce"
     if len(constructive) != profile.interval_total():
         yield "j_size_equals_interval_total"
     labels = set(basis_labels(params, chi))
     if any(label not in labels for label in constructive):
         yield "labels_within_basis"
-    # The admissible e_M: (p^f - 1)/e_M divides every n_i (validate_e_m).
+    if bruteforce != constructive:  # e_M = p^f - 1, the default runs above
+        yield "e_m_independence"
+    # The other admissible e_M: d = (p^f - 1)/e_M >= 2 divides every n_i
+    # (validate_e_m).
     gcd_n = gcd(q1, *n)
-    for e_m in (q1 // d for d in range(1, gcd_n + 1) if gcd_n % d == 0):
+    for e_m in (q1 // d for d in range(2, gcd_n + 1) if gcd_n % d == 0):
         if (
             j_v_ah(params, profile, chi, e_m) != constructive
             or j_v_ah_bruteforce(params, profile, chi, e_m) != constructive
@@ -752,9 +770,10 @@ def _twist_checks(spec: GridSpec, theta: Tuple[int, ...]) -> Iterator[str]:
 
     The grid pair is consistent at theta = 0, so the twisted instance must
     carry characters with the theta class added back; twist_normalize
-    inside l_v_ah then lands exactly on the plain instance.  Neither call
-    declares a cyclotomic quotient, so both raise NoValidShift on a point
-    with no shift subset.
+    inside l_v_ah then lands exactly on the plain instance.  A point with
+    no shift subset raises NoValidShift in ``_grid_pair``, before either
+    call; neither declares a cyclotomic quotient, so neither could have
+    answered there.
     """
     params, c1, c2 = _grid_pair(spec)
     r = spec[4]

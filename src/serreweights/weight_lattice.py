@@ -95,6 +95,11 @@ def twist_normalize(
     chi1/chi2 is unchanged.  Unramified parts are untouched because the
     twist is inertial.  A character's cyclotomic declaration survives only
     when the twist has trivial inertial class (then nothing moved).
+
+    With theta entries in [0, p-1], not all p-1, the twist class is 0 only
+    at theta = 0, and there the characters are returned as they came: a
+    rebuilt record would have the same signature, unramified part and
+    declarations, and records are trusted (see ``CharacterData``).
     """
     validate_weight(params, weight)
     normalized = SerreWeight(
@@ -102,16 +107,12 @@ def twist_normalize(
         (0,) * params.f,
     )
     twist_class = exponent_class(params, weight.theta)
+    if twist_class == 0:
+        return normalized, chi1, chi2
 
     def twist(chi: CharacterData) -> CharacterData:
         cls = signature_class(params, chi.signature) - twist_class
-        keep_cyc = chi.declared_cyclotomic and twist_class == 0
-        return character(
-            params,
-            (cls,) + (0,) * (params.f - 1),
-            unram=chi.unram,
-            cyclotomic=True if keep_cyc else None,
-        )
+        return character(params, (cls,) + (0,) * (params.f - 1), unram=chi.unram)
 
     return normalized, twist(chi1), twist(chi2)
 

@@ -840,6 +840,40 @@ def test_verify_counts_each_failing_instance_once(capsys, monkeypatch):
     assert counts["profile_membership"] > 0  # some s_i + 1 leave the pool
 
 
+def test_verify_counts_a_lossy_bruteforce_route(capsys, monkeypatch):
+    """A brute-force route that drops its greatest label at every e_M fails
+    constructive_vs_bruteforce and e_m_independence at exactly the points
+    with a nonempty label set, whichever runs of the route are shared."""
+    real = io_cli.j_v_ah_bruteforce
+
+    def lossy(params, profile, chi, e_m=None):
+        labels = real(params, profile, chi, e_m)
+        if not labels:
+            return labels
+        return labels - {max(labels, key=io_cli.BasisLabel.sort_key)}
+
+    monkeypatch.setattr(io_cli, "j_v_ah_bruteforce", lossy)
+    code, doc = run_json(capsys, ["verify", "--p-max", "3", "--e-max", "2", "--f-max", "2"])
+    assert code == 1
+    by_name = {prop["name"]: prop for prop in doc["properties"]}
+    labelled = []
+    cells = io_cli._grid_cells(3, 2, 2)
+    for spec in (spec for cell in cells for spec in io_cli._cell_instances(cell)):
+        try:
+            params, _, _, chi, profile = io_cli._grid_instance(spec)
+        except io_cli.NoValidShift:
+            continue
+        if io_cli.j_v_ah(params, profile, chi):
+            labelled.append(io_cli._where(spec))
+    first = "p=2 e=1 f=1 chi2_class=0 r=(1,)"
+    assert (len(labelled), labelled[0]) == (126, first)
+    for name in ("constructive_vs_bruteforce", "e_m_independence"):
+        assert by_name[name]["failures"] == len(labelled)
+        assert by_name[name]["first_counterexample"] == first
+    del by_name["constructive_vs_bruteforce"], by_name["e_m_independence"]
+    assert all(prop["failures"] == 0 for prop in by_name.values())
+
+
 VERIFY_PROPERTIES = [
     "dimension_sum", "jump_size", "window_count", "w_prime_cardinality",
     "basis_cardinality", "profile_reflection", "profile_membership",
@@ -877,6 +911,53 @@ def test_grid_chi1_closed_form_matches_the_shift():
         assert oracles.signature_class(p, f, chi2.signature.a) == cls2
         points += 1
     assert points > 1000
+
+
+# p = 3, e = 1, f = 1, chi2 of class 1 and r = (2,): m = (1,) and its one
+# shift m + v_0 = (3,) both miss [0, 0] union [2, 2].
+SHIFTLESS = (3, 1, 1, 1, (2,))
+
+
+def test_grid_pair_tests_for_a_shift_before_building_chi1(monkeypatch):
+    """A point with no shift subset raises NoValidShift having built chi2
+    alone, and every verify job on it returns no failures."""
+    p, e, f, chi2_class, r = SHIFTLESS
+    assert oracles.valid_shift_subsets(p, e, f, r, (chi2_class,)) == []
+    built = []
+    real = io_cli.character
+
+    def counted(params, exps, *args, **kwargs):
+        built.append(tuple(exps))
+        return real(params, exps, *args, **kwargs)
+
+    monkeypatch.setattr(io_cli, "character", counted)
+    with pytest.raises(io_cli.NoValidShift):
+        io_cli._grid_pair(SHIFTLESS)
+    assert built == [(chi2_class,)]
+    assert io_cli._verify_pair_instance(SHIFTLESS) == []
+    assert io_cli._verify_twist_instance((SHIFTLESS, (1,))) == []
+    for mu in io_cli._ORACLE_MUS[p]:
+        assert io_cli._verify_oracle_instance((SHIFTLESS, mu)) == []
+
+
+@pytest.mark.parametrize("weight, flags, beside", [
+    ({"r": [2], "eta": [9], "theta": [7]}, ["--r", "2", "--eta", "9", "--theta", "7"],
+     ".weight.eta, .weight.theta"),
+    ({"r": [2], "eta": [9]}, ["--r", "2", "--eta", "9"], ".weight.eta"),
+    ({"r": [2], "theta": [0]}, ["--r", "2", "--theta", "0"], ".weight.theta"),
+], ids=["eta-theta", "eta", "theta"])
+def test_weight_r_beside_eta_or_theta_exits_2(capsys, tmp_path, weight, flags, beside):
+    """r and (eta, theta) are two spellings of one weight; given together,
+    neither is silently dropped: both inputs exit 2 and name the paths."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_doc((3, 1, 1), weight, [2], [1])))
+    pair = ["--chi1-exps=2", "--chi2-exps=1"]
+    for argv in (["lv", *_flags((3, 1, 1), *flags, *pair)],
+                 ["lv", "--problem", str(path)]):
+        assert run_command(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"invalid input: .weight.r given beside {beside}\n"
+        )
 
 
 GRID_FLAGS = ["--p-max", "2", "--e-max", "1", "--f-max", "1"]

@@ -96,6 +96,38 @@ def test_twist_normalize_outputs_pass_validate_character(cell):
         validate_character(params, c2)
 
 
+@pytest.mark.parametrize(
+    "cell", [c for c in CELLS if c[0] <= 3 and c[2] <= 2], ids=_cell_id
+)
+def test_twist_normalize_keeps_the_records_at_theta_zero(cell):
+    """At theta = 0 the characters come back as the same objects, each equal
+    to the record the twist would rebuild, cyclotomic and mod-2 declarations
+    included."""
+    params = FieldParams(*cell)
+    p, f = params.p, params.f
+    zeros = (0,) * (f - 1)
+    chars = _characters(params, UNRAMS[p])
+    cyc = cyclotomic_inertia_signature(params)
+    chars += [
+        character(params, chi.signature.a, unram=chi.unram, cyclotomic=True)
+        for chi in chars
+        if chi.signature == cyc and (p != 2 or chi.unram.is_trivial(2))
+    ]
+    assert any(chi.declared_cyclotomic for chi in chars)
+    weight = SerreWeight((p - 1,) * f, (0,) * f)
+    for chi1, chi2 in zip(chars, reversed(chars)):
+        normalized, c1, c2 = twist_normalize(params, weight, chi1, chi2)
+        assert normalized == weight
+        assert c1 is chi1 and c2 is chi2
+        for chi in (c1, c2):
+            cls = exponent_class(params, chi.signature.a)
+            rebuilt = character(
+                params, (cls,) + zeros, unram=chi.unram,
+                cyclotomic=True if chi.declared_cyclotomic else None,
+            )
+            assert rebuilt == chi
+
+
 @pytest.mark.parametrize("cell", [c for c in CELLS if c[2] <= 2], ids=_cell_id)
 def test_ts_profile_matches_by_inertial_class_only(cell):
     """The profile check compares classes; unramified parts never enter."""

@@ -344,13 +344,12 @@ def test_rederive_over_large_coefficient_fields(
 WIDE_CELLS = [(5, 3, 3), (7, 1, 3), (7, 2, 2), (7, 3, 3), (3, 1, 4)]
 
 
-def test_three_routes_agree_on_the_wider_grid():
-    """Every 97th point of the wider cells, chi1 with unramified part of
-    order p - 1: the oracle, the constructive route and the brute-force
-    witness search give the same labels."""
-    specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
+def _three_routes_agree(specs) -> int:
+    """On each grid point with a shift subset, chi1 with unramified part of
+    order p - 1, the oracle, the constructive route and the brute-force
+    witness search give the same labels; the number of such points."""
     checked = 0
-    for spec in specs[::97]:
+    for spec in specs:
         try:
             params, _, _, chi, profile = io_cli._grid_instance(spec, UnramifiedPart(1, 1))
         except NoValidShift:
@@ -359,4 +358,25 @@ def test_three_routes_agree_on_the_wider_grid():
         assert rederive_jvah(params, profile, chi) == want, spec
         assert j_v_ah_bruteforce(params, profile, chi) == want, spec
         checked += 1
-    assert checked == 577
+    return checked
+
+
+def test_three_routes_agree_on_the_wider_grid():
+    """Every 97th point of the wider cells."""
+    specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
+    assert _three_routes_agree(specs[::97]) == 577
+
+
+# (e, f, points with a shift subset) of the p = 7, e <= 3, f <= 3 cells.
+P7_CELLS = [
+    (1, 1, 13), (1, 2, 193), (1, 3, 2698),
+    (2, 1, 23), (2, 2, 631), (2, 3, 16022),
+    (3, 1, 31), (3, 2, 1171), (3, 3, 40609),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("e, f, points", P7_CELLS)
+def test_three_routes_agree_on_the_full_p7_grid(e, f, points):
+    """Every point of the p = 7, e <= 3, f <= 3 cells, one cell a test."""
+    assert _three_routes_agree(io_cli._cell_instances((7, e, f))) == points
