@@ -9,9 +9,9 @@ and they should be reported, never silenced.
 
 ``ResourceLimitExceeded`` is a third outcome: the question is valid, but
 answering it needs more than a named resource limit allows (the
-coefficient-field degree cap of the residue-pairing oracle, and the bound
-below which the primality test of p is exact); the CLI maps it to exit
-code 3.
+coefficient-field degree cap of the residue-pairing oracle, the bound
+below which the primality test of p is exact, and the cap f <= 20 of the
+shift search); the CLI maps it to exit code 3.
 
 ``NoValidShift`` is none of these: it signals the legitimate empty outcome
 where no digit-shift subset realizes the required inertial class, so the

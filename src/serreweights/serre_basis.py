@@ -30,8 +30,8 @@ from .errors import (
 from .tame_chars import (
     CharacterData,
     FieldParams,
+    _Derived,
     _derived,
-    _matching_numerators,
     char_quotient,
     exponent_class,
     is_unramified,
@@ -91,9 +91,25 @@ class BasisLabel:
 
 
 def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
-    """All window integers congruent to some n_i, ascending; |W'| = e*f'."""
-    top = params.e * params.p * params.repunit
-    return tuple(m for m, _ in _matching_numerators(params, chi.signature, 0, top))
+    """All window integers congruent to some n_i, ascending; |W'| = e*f'.
+
+    Built on the first call for a signature and kept on its cached record,
+    so commands that never read W' never build it.
+    """
+    derived = _derived(params, chi.signature)
+    if derived.w_prime is None:
+        derived.w_prime = _build_w_prime(params, derived)
+    return derived.w_prime
+
+
+def _build_w_prime(params: FieldParams, derived: _Derived) -> Tuple[int, ...]:
+    """Each residue's progression in (0, e*p*R), from its least positive
+    member (p^f - 1 for residue 0), less the multiples of p, merged."""
+    p, q1 = params.p, params.tame_order
+    top = params.e * p * params.repunit
+    return tuple(sorted(
+        m for residue in derived.counts for m in range(residue or q1, top, q1) if m % p
+    ))
 
 
 def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, ...]:
@@ -112,15 +128,20 @@ def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, .
 
 def i_m_index(params: FieldParams, chi: CharacterData, m: int) -> int:
     """The unique i in [0, f') with m congruent to n_i modulo p^f - 1."""
-    q1 = params.tame_order
-    derived = _derived(params, chi.signature)
+    return _index_in(_derived(params, chi.signature), params.tame_order, chi, m)
+
+
+def _index_in(derived: _Derived, q1: int, chi: CharacterData, m: int) -> int:
+    """``i_m_index`` in a record already fetched: the routes fetch chi's
+    record once per call and look every m up in it."""
     if not derived.distinct:
         raise InternalInvariantViolation(
             f"n_0..n_{derived.niveau[0] - 1} are not distinct mod {q1}"
         )
-    if m % q1 not in derived.index_of:
+    i = derived.index_of.get(m % q1)
+    if i is None:
         raise NoMatchingIndex(f"m = {m} matches no n_i of {chi.signature.a}")
-    return derived.index_of[m % q1]
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +197,8 @@ def j_v_ah(
     p, f = params.p, params.f
     q1 = params.tame_order
     window_top = params.e * params.p * params.repunit
-    f_prime, f_dprime = niveau(params, chi.signature)
+    derived = _derived(params, chi.signature)
+    f_prime, f_dprime = derived.niveau
     found: Dict[BasisLabel, Tuple[int, int]] = {}
     for i in range(f):
         for d in profile.intervals[i]:
@@ -189,7 +211,7 @@ def j_v_ah(
             if not 0 < a < window_top:
                 continue
             try:
-                im = i_m_index(params, chi, a)
+                im = _index_in(derived, q1, chi, a)
             except NoMatchingIndex:
                 raise InternalInvariantViolation(
                     f"a = {a} passed the window test but matches no n_i"
@@ -218,6 +240,13 @@ def j_v_ah_bruteforce(
 
     p^j m' = xi'_i - d e_M forces p^j m' <= xi'_i with m' >= 1, so j never
     exceeds floor(log_p max(1, xi_i)); everything else is tried verbatim.
+    The witnesses (p^j, xi'_i - d e_M, (i - j) mod f) do not depend on
+    alpha = (m, k), so they are listed once per call.  For each m in W' the
+    residues of the witnesses with p^j m' = xi'_i - d e_M are collected, and
+    (m, k) is a label when i_m + k f' is one of them mod f.  That is the
+    same search over W x (i, d, j) as one any() per (m, k), with each
+    witness's arithmetic done once instead of once per (m, k); no equation
+    is solved for m or for a witness.
     """
     if e_m is None:
         e_m = params.tame_order
@@ -226,7 +255,8 @@ def j_v_ah_bruteforce(
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m
-    f_prime, f_dprime = niveau(params, chi.signature)
+    derived = _derived(params, chi.signature)
+    f_prime, f_dprime = derived.niveau
     xi_scaled = tuple(xi * e_m // q1 for xi in profile.xi)
     j_bounds = []
     for xi in profile.xi:
@@ -234,18 +264,19 @@ def j_v_ah_bruteforce(
         while p ** (b + 1) <= max(1, xi):
             b += 1
         j_bounds.append(b)
+    witnesses = [
+        (p**j, xi_scaled[i] - d * e_m, (i - j) % f)
+        for i in range(f)
+        for d in profile.intervals[i]
+        for j in range(j_bounds[i] + 1)
+    ]
     labels = set()
     for m in w_prime(params, chi):
+        im = _index_in(derived, q1, chi, m)
         m_scaled = m // scale
-        im = i_m_index(params, chi, m)
+        residues = {res for pj, value, res in witnesses if pj * m_scaled == value}
         for k in range(f_dprime):
-            if any(
-                p**j * m_scaled == xi_scaled[i] - d * e_m
-                and (im + k * f_prime - (i - j)) % f == 0
-                for i in range(f)
-                for d in profile.intervals[i]
-                for j in range(j_bounds[i] + 1)
-            ):
+            if (im + k * f_prime) % f in residues:
                 labels.add(BasisLabel.alpha(m, k))
     return frozenset(labels)
 

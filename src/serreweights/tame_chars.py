@@ -124,12 +124,15 @@ class TameSignature:
 
 
 def validate_signature(params: FieldParams, sig: TameSignature) -> None:
-    a = sig.a
-    if len(a) != params.f:
-        raise InvariantError(f"signature length {len(a)} != f = {params.f}")
-    if any(not (1 <= ai <= params.p) for ai in a):
+    _check_digits(params.p, params.f, sig.a)
+
+
+def _check_digits(p: int, f: int, a: Tuple[int, ...]) -> None:
+    if len(a) != f:
+        raise InvariantError(f"signature length {len(a)} != f = {f}")
+    if any(not (1 <= ai <= p) for ai in a):
         raise InvariantError(f"signature entries must lie in [1, p]: {a}")
-    if all(ai == params.p for ai in a):
+    if all(ai == p for ai in a):
         raise InvariantError("the all-p signature is excluded")
 
 
@@ -142,8 +145,10 @@ def exponent_class(params: FieldParams, exps: Tuple[int, ...]) -> int:
     p, f = params.p, params.f
     if len(exps) != f:
         raise InvalidInput(f"exponent tuple length {len(exps)} != f = {f}")
-    total = sum(c * pow(p, (f - i) % f, params.tame_order) for i, c in enumerate(exps))
-    return total % params.tame_order
+    total = 0
+    for c in exps[1:]:  # Horner: c_1 p^(f-1) + ... + c_{f-1} p
+        total = (total + c) * p
+    return (total + exps[0]) % params.tame_order
 
 
 def signature_class(params: FieldParams, sig: TameSignature) -> int:
@@ -152,11 +157,17 @@ def signature_class(params: FieldParams, sig: TameSignature) -> int:
 
 
 def _signature_from_class(params: FieldParams, n_class: int) -> TameSignature:
-    """Greedy digit extraction: window representative, digits in [1, p]."""
-    p, f = params.p, params.f
-    rep = params.repunit
-    n = rep + (n_class - rep) % params.tame_order
-    rem = n - rep  # in [0, p^f - 2]; base-p digits are the signature minus 1
+    """Greedy digit extraction: window representative, digits in [1, p].
+
+    The representative's offset above the repunit R is in [0, p^f - 2]; its
+    base-p digits are the signature minus 1.  Cached by plain values.
+    """
+    offset = (n_class - params.repunit) % params.tame_order
+    return _signature_at_offset(params.p, params.f, offset)
+
+
+@lru_cache(maxsize=256)
+def _signature_at_offset(p: int, f: int, rem: int) -> TameSignature:
     digits = []
     for _ in range(f):
         rem, d = divmod(rem, p)
@@ -192,13 +203,15 @@ def niveau(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
     return _derived(params, sig).niveau
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Derived:
-    """What the signature determines, computed once per (params, signature).
+    """What the signature determines, computed once per (p, e, f, signature).
 
     ``index_of`` maps n_i mod (p^f - 1) to i for i in [0, f'); ``distinct``
     records that those f' residues are pairwise distinct.  ``counts`` maps
-    each residue to the number of i in [0, f) with that residue.
+    each residue to the number of i in [0, f) with that residue.  ``w_prime``
+    is the index set W' (``serre_basis.w_prime``): None until the first call
+    that reads it, which builds it and stores it here.
     """
 
     n: Tuple[int, ...]
@@ -206,18 +219,30 @@ class _Derived:
     index_of: Dict[int, int]
     distinct: bool
     counts: Dict[int, int]
+    w_prime: Optional[Tuple[int, ...]] = None
 
 
-@lru_cache(maxsize=64)
 def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
-    """The record of a valid signature; a miss validates it first."""
-    validate_signature(params, sig)
-    p, f, q1 = params.p, params.f, params.tame_order
-    a = sig.a
+    """The record of a valid signature; a miss validates it first.
+
+    The cache is keyed by the plain values (p, e, f, digits), which hash in
+    C, not by the two records, whose dataclass hashes run in Python.  It
+    holds 128 records, each of O(f) ints, plus e*f' ints for one whose W'
+    was asked for.  At 64 the p = 5, f = 3 cell of the verify grid, whose
+    124 signature classes recur once per chi2 class, evicted most records
+    before their next use.
+    """
+    return _derived_record(params.p, params.e, params.f, sig.a)
+
+
+@lru_cache(maxsize=128)
+def _derived_record(p: int, e: int, f: int, a: Tuple[int, ...]) -> _Derived:
+    _check_digits(p, f, a)
+    q1 = p**f - 1
     n = tuple(
         sum(a[(i + j) % f] * p ** (f - j) for j in range(1, f + 1)) for i in range(f)
     )
-    f_prime = next(d for d in range(1, f + 1) if f % d == 0 and sig.rotate(d) == sig)
+    f_prime = next(d for d in range(1, f + 1) if f % d == 0 and a[d:] + a[:d] == a)
     index_of = {n[i] % q1: i for i in range(f_prime)}
     distinct = len(index_of) == f_prime
     counts = Counter(ni % q1 for ni in n)

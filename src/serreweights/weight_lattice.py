@@ -22,6 +22,7 @@ the characters are consistent with the profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Tuple
 
 from .errors import (
@@ -31,6 +32,7 @@ from .errors import (
     InvariantError,
     MinimalityAmbiguous,
     NoValidShift,
+    ResourceLimitExceeded,
 )
 from .tame_chars import (
     CharacterData,
@@ -183,29 +185,80 @@ def minimal_shift_set(
     return frozenset(i for i in range(params.f) if least >> i & 1)
 
 
+# The shift search holds the 2^f subsets as the bits of one int, 2^f bits
+# wide; at this many slots that int is 128 KB.
+_MAX_SHIFT_SLOTS = 20
+
+
+# For each slot i: (bit i, bit i-1, the set of masks with those two bits).
+_SlotChoices = Tuple[Tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=4)
+def _shift_tables(f: int) -> Tuple[Tuple[int, ...], Tuple[_SlotChoices, ...]]:
+    """Sets of masks as 2^f-bit ints: bit J of a set is the mask J.
+
+    Returns, for each slot i, the set of masks with bit i, and the four
+    choices of (bit i, bit i-1) with the set of masks that make each.
+    """
+    if f > _MAX_SHIFT_SLOTS:
+        raise ResourceLimitExceeded(
+            f"the shift search tests the 2^f subsets as one 2^f-bit integer; "
+            f"f = {f} is above the bound f <= {_MAX_SHIFT_SLOTS}"
+        )
+    full = (1 << (1 << f)) - 1
+    with_bit = []
+    for i in range(f):
+        run = 1 << i  # masks with bit i set come in runs of 2^i
+        bits, period = ((1 << run) - 1) << run, 2 * run
+        while period < 1 << f:
+            bits |= bits << period
+            period *= 2
+        with_bit.append(bits)
+    choices = []
+    for i in range(f):
+        own, prev = with_bit[i], with_bit[i - 1]
+        choices.append(tuple(
+            (b, a, (own if b else full ^ own) & (prev if a else full ^ prev))
+            for b in (0, 1)
+            for a in (0, 1)
+        ))
+    return tuple(with_bit), tuple(choices)
+
+
 def _least_shift(
     params: FieldParams, weight_r: Tuple[int, ...], chi2_exps: Tuple[int, ...]
 ) -> int:
-    """``minimal_shift_set`` on checked inputs, as a mask: bit i is v_i."""
+    """``minimal_shift_set`` on checked inputs, as a mask: bit i is v_i.
+
+    The valid masks are found all at once, as the set bits of a 2^f-bit
+    int.  Slot i of m + sum_{i in J} v_i is m_i - [i in J] + p [i-1 in J],
+    so it depends on J through two bits; ``_admissible`` tests each of the
+    four choices once, the masks of the accepted ones are OR-ed, and the
+    slots are AND-ed.  That is 4f predicate calls, not one per (mask, slot).
+    """
     p, e, f = params.p, params.e, params.f
-    valid = []
-    for mask in range(1 << f):
-        for i, (c, ri) in enumerate(zip(chi2_exps, weight_r)):
-            shifted = c - (mask >> i & 1) + p * (mask >> (i - 1) % f & 1)
-            if not _admissible(e, ri, shifted):
-                break
-        else:
-            valid.append(mask)
+    with_bit, choices = _shift_tables(f)
+    valid = -1
+    for c, ri, slot in zip(chi2_exps, weight_r, choices):
+        accepted = 0
+        for b, a, masks in slot:
+            if _admissible(e, ri, c - b + p * a):
+                accepted |= masks
+        valid &= accepted
     if not valid:
         raise NoValidShift(
             f"no shift subset reaches the admissible set for r={weight_r}"
         )
-    # A least subset, if any, is the intersection of all valid ones.
-    least = valid[0]
-    for mask in valid:
-        least &= mask
-    if least not in valid:
-        subsets = sorted(sorted(i for i in range(f) if mask >> i & 1) for mask in valid)
+    # A least subset, if any, is the intersection of all valid ones: bit i
+    # is in it when no valid mask leaves bit i clear.
+    least = sum(1 << i for i in range(f) if not valid & ~with_bit[i])
+    if not valid >> least & 1:
+        subsets = sorted(
+            sorted(i for i in range(f) if mask >> i & 1)
+            for mask in range(1 << f)
+            if valid >> mask & 1
+        )
         raise MinimalityAmbiguous(
             f"valid shift subsets {subsets} have no least element"
         )

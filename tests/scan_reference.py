@@ -2,15 +2,18 @@
 
 The package enumerates the progressions m = n_i (mod p^f - 1) directly,
 reads n-values, niveau and the residue-to-index map from one cached record
-per signature, and finds the least shift subset by an entrywise test of the
-2^f masks.  The versions here are the ones that came before: every m in
-(0, e*p*R) is tested, n-values and niveau are recomputed from the digit
-signature on every call, shifted tuples are looked up in the
-candidate product of ``candidate_set``, the least field of an
-unramified value is found by trying every degree r = 1, 2, ... in turn,
-and primality is decided by trial division.
-Of the package they use only its data types, its exceptions,
-``exponent_class`` and the input checks of ``minimal_shift_set``.
+per signature, finds the least shift subset with the 2^f masks held as the
+bits of one int, and lists the brute-force witnesses once per call.  The
+versions here are the ones that came before: every m in (0, e*p*R) is
+tested, n-values and niveau are recomputed from the digit signature on
+every call, shifted tuples are looked up in the candidate product of
+``candidate_set`` or tested one mask and one slot at a time, the
+brute-force route runs one any() over every witness for each label
+alpha = (m, k), the least field of an unramified value is found by trying
+every degree r = 1, 2, ... in turn, and primality is decided by trial
+division.  Of the package they use only its data types, its exceptions,
+``exponent_class``, the admissibility predicate and the input checks of
+``minimal_shift_set``.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from serreweights import (
+    BasisLabel,
     CharacterData,
     FieldParams,
     InternalInvariantViolation,
@@ -27,6 +31,7 @@ from serreweights import (
     NoValidShift,
     TameSignature,
     UnramifiedPart,
+    WeightProfile,
     exponent_class,
 )
 from serreweights import weight_lattice
@@ -171,6 +176,73 @@ def minimal_shift_set_scan(
             f"valid shift subsets {sorted(map(sorted, valid))} have no least element"
         )
     return least
+
+
+def least_shift_scan(
+    params: FieldParams, weight_r: Tuple[int, ...], chi2_exps: Tuple[int, ...]
+) -> int:
+    """The least shift subset as a mask, one mask and one slot at a time;
+    raises as ``minimal_shift_set`` does, with the same messages."""
+    p, e, f = params.p, params.e, params.f
+    admissible = weight_lattice._admissible
+    valid = []
+    for mask in range(1 << f):
+        for i, (c, ri) in enumerate(zip(chi2_exps, weight_r)):
+            shifted = c - (mask >> i & 1) + p * (mask >> (i - 1) % f & 1)
+            if not admissible(e, ri, shifted):
+                break
+        else:
+            valid.append(mask)
+    if not valid:
+        raise NoValidShift(
+            f"no shift subset reaches the admissible set for r={weight_r}"
+        )
+    least = valid[0]
+    for mask in valid:
+        least &= mask
+    if least not in valid:
+        subsets = sorted(sorted(i for i in range(f) if mask >> i & 1) for mask in valid)
+        raise MinimalityAmbiguous(
+            f"valid shift subsets {subsets} have no least element"
+        )
+    return least
+
+
+def j_v_ah_bruteforce_scan(
+    params: FieldParams,
+    profile: WeightProfile,
+    chi: CharacterData,
+    e_m: Optional[int] = None,
+) -> FrozenSet[BasisLabel]:
+    """The witness search with one any() over every (i, d, j) per label
+    alpha = (m, k), W' and i_m from the scans above; e_M must be valid."""
+    p, f = params.p, params.f
+    q1 = params.tame_order
+    if e_m is None:
+        e_m = q1
+    scale = q1 // e_m
+    f_prime, f_dprime = niveau_scan(params, chi.signature)
+    xi_scaled = tuple(xi * e_m // q1 for xi in profile.xi)
+    j_bounds = []
+    for xi in profile.xi:
+        b = 0
+        while p ** (b + 1) <= max(1, xi):
+            b += 1
+        j_bounds.append(b)
+    labels = set()
+    for m in w_prime_scan(params, chi):
+        m_scaled = m // scale
+        im = i_m_index_scan(params, chi, m)
+        for k in range(f_dprime):
+            if any(
+                p**j * m_scaled == xi_scaled[i] - d * e_m
+                and (im + k * f_prime - (i - j)) % f == 0
+                for i in range(f)
+                for d in profile.intervals[i]
+                for j in range(j_bounds[i] + 1)
+            ):
+                labels.add(BasisLabel.alpha(m, k))
+    return frozenset(labels)
 
 
 def normalize_unram_scan(p: int, degree: int, dlog: int) -> UnramifiedPart:

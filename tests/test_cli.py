@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,35 @@ def test_resource_limit_exits_3(capsys):
     assert time.perf_counter() - start < 60.0  # no search up to degree 465
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and "465" in err
+
+
+def test_shift_search_past_twenty_slots_exits_3(capsys):
+    """The shift search holds its 2^f subsets as one int; past f = 20 the
+    request is a resource limit, raised before that int is built."""
+    ones, zeros = ",".join(["1"] * 21), ",".join(["0"] * 21)
+    argv = ["profile", "--p", "2", "--e", "1", "--f", "21",
+            f"--r={ones}", f"--chi1-exps={zeros}", f"--chi2-exps={zeros}"]
+    assert run_command(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: the shift search tests the 2^f subsets as one 2^f-bit "
+        "integer; f = 21 is above the bound f <= 20\n"
+    )
+
+
+def test_dims_never_builds_w_prime(capsys, monkeypatch):
+    """W' is built on the first ``w_prime`` call, not with the signature's
+    record: dims runs with ``_build_w_prime`` broken, and basis, which lists W',
+    reaches it."""
+    def broken(params, derived):
+        raise AssertionError("W' was built")
+
+    serreweights.tame_chars._derived_record.cache_clear()
+    monkeypatch.setattr(serreweights.serre_basis, "_build_w_prime", broken)
+    flags = ["--p", "3", "--e", "1000", "--f", "1", "--chi-exps=1"]
+    code, doc = run_json(capsys, ["dims", *flags])
+    assert code == 0 and doc["windows"] == [1] * 1000
+    with pytest.raises(AssertionError, match="W' was built"):
+        run_command(["basis", *flags])
 
 
 # The deepest spanning monomial sits at degree -p, so the truncation is p
@@ -936,8 +966,7 @@ def test_grid_pair_tests_for_a_shift_before_building_chi1(monkeypatch):
     assert built == [(chi2_class,)]
     assert io_cli._verify_pair_instance(SHIFTLESS) == []
     assert io_cli._verify_twist_instance((SHIFTLESS, (1,))) == []
-    for mu in io_cli._ORACLE_MUS[p]:
-        assert io_cli._verify_oracle_instance((SHIFTLESS, mu)) == []
+    assert io_cli._verify_oracle_instance((SHIFTLESS, io_cli._ORACLE_MUS[p])) == []
 
 
 @pytest.mark.parametrize("weight, flags, beside", [
@@ -996,3 +1025,56 @@ def test_jobs_above_cpu_count_start_no_pool_on_one_cpu(capsys, monkeypatch, comm
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert run_command([command] + GRID_FLAGS + ["--jobs", "64"]) == 0
     capsys.readouterr()
+
+
+def test_verify_counts_a_lossy_oracle_route(capsys, monkeypatch):
+    """An oracle route that drops its greatest label whenever chi1/chi2 has a
+    nontrivial unramified part fails oracle_agreement once per (point, part)
+    with a nonempty label set and such a part, under that part's where text."""
+    real = io_cli.rederive_jvah
+
+    def lossy(params, profile, chi, e_m=None):
+        labels = real(params, profile, chi, e_m)
+        if not labels or chi.unram.is_trivial(params.p):
+            return labels
+        return labels - {max(labels, key=io_cli.BasisLabel.sort_key)}
+
+    monkeypatch.setattr(io_cli, "rederive_jvah", lossy)
+    code, doc = run_json(capsys, ["verify", "--with-oracle"])
+    assert code == 1
+    by_name = {prop["name"]: prop for prop in doc["properties"]}
+    assert doc["oracle_instances"] == 524
+    failing = []
+    for spec in (spec for cell in io_cli._grid_cells(3, 2, 2)
+                 for spec in io_cli._cell_instances(cell)):
+        try:
+            params, _, _, chi, profile = io_cli._grid_instance(spec)
+        except io_cli.NoValidShift:
+            continue
+        if io_cli.j_v_ah(params, profile, chi):
+            failing += [
+                f"{io_cli._where(spec)} mu={mu.order_field_degree}:{mu.dlog}"
+                for mu in io_cli._ORACLE_MUS[params.p]
+                if not mu.is_trivial(params.p)
+            ]
+    first = "p=2 e=1 f=1 chi2_class=0 r=(1,) mu=2:1"
+    assert (len(failing), failing[0]) == (226, first)
+    assert by_name["oracle_agreement"]["failures"] == len(failing)
+    assert by_name["oracle_agreement"]["first_counterexample"] == first
+    del by_name["oracle_agreement"]
+    assert all(prop["failures"] == 0 for prop in by_name.values())
+
+
+# The report of the verify_grid benchmark workload: 1 995 bytes.
+VERIFY_GRID_SHA256 = "6963d61459afba843672e7e3cf177cecfde206e2da922d0387a228666535a643"
+
+
+def test_verify_grid_report_bytes_are_pinned(capsys):
+    """A speed-up of any verify route must leave this report byte-identical."""
+    code = run_command([
+        "verify", "--p-max", "5", "--e-max", "3", "--f-max", "3",
+        "--with-oracle", "--jobs", "1", "--max-instances", "10000",
+    ])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (1995, VERIFY_GRID_SHA256)

@@ -5,7 +5,9 @@ f = 4, goes through the progression enumeration (``jump_profile``,
 ``window_cardinality``, ``w_prime``), the cached record (``i_m_index``,
 ``graded_dimension``) and the mask test of ``minimal_shift_set``; each
 answer, error included, must equal the scan oracle's in
-``tests/scan_reference.py``.  So must the least field of an unramified
+``tests/scan_reference.py``.  The bitset shift search must also equal the
+per-mask scan it replaced, on every (r, m) of p <= 5, e <= 3, f <= 3 and of
+p = 2 at f = 4.  So must the least field of an unramified
 value, over every degree L <= 12 at p <= 7.
 """
 
@@ -22,6 +24,7 @@ from serreweights import (
     InvalidInput,
     MinimalityAmbiguous,
     NoValidShift,
+    ResourceLimitExceeded,
     SerreWeightsError,
     TameSignature,
     UnramifiedPart,
@@ -150,6 +153,44 @@ def test_minimal_shift_set_matches_candidate_scan(cell):
     assert set(kinds) <= {"least", NoValidShift}
     if p >= 5:
         assert kinds[NoValidShift] > 0
+
+
+SHIFT_CELLS = [
+    (p, e, f) for p in (2, 3, 5) for e in (1, 2, 3) for f in (1, 2, 3)
+] + [(2, e, 4) for e in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("narrowed, kinds", [
+    (False, {NoValidShift: 31617, "least": 20013}),
+    (True, {NoValidShift: 48045, "least": 3558, MinimalityAmbiguous: 27}),
+], ids=["definition", "narrowed"])
+def test_least_shift_matches_the_per_mask_scan(narrowed, kinds, monkeypatch):
+    """Every (r, m) of every cell: the same least mask, or the same error
+    and message.  The definition is never ambiguous on this grid, so
+    admissibility is also narrowed to {0, 4}, which reaches every outcome."""
+    if narrowed:
+        monkeypatch.setattr(weight_lattice, "_admissible", lambda e, ri, x: x in (0, 4))
+    seen = Counter()
+    for cell in SHIFT_CELLS:
+        params = FieldParams(*cell)
+        p, f = params.p, params.f
+        reduced = [m for m in product(range(p), repeat=f) if any(c < p - 1 for c in m)]
+        for r in product(range(1, p + 1), repeat=f):
+            for m in reduced:
+                expected = outcome(scan.least_shift_scan, params, r, m)
+                got = outcome(weight_lattice._least_shift, params, r, m)
+                assert got == expected, (cell, r, m)
+                seen[expected[0] if isinstance(expected, tuple) else "least"] += 1
+    assert seen == kinds
+
+
+def test_shift_search_past_twenty_slots_is_a_resource_limit():
+    """The 2^f subsets are one 2^f-bit int, so f is capped before any is
+    built; up to the cap the search answers."""
+    params = FieldParams(2, 1, 21)
+    with pytest.raises(ResourceLimitExceeded, match="f = 21 is above the bound f <= 20"):
+        minimal_shift_set(params, (1,) * 21, (0,) * 21)
+    assert minimal_shift_set(FieldParams(2, 1, 20), (1,) * 20, (0,) * 20) == frozenset()
 
 
 def test_minimal_shift_set_ambiguity_matches_scan(monkeypatch):

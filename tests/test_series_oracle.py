@@ -5,10 +5,12 @@ truncation come from the instance."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import oracle_reference
+import scan_reference
 from oracle_reference import (
     artin_hasse_mod_p,
     artin_hasse_rational,
@@ -27,6 +29,7 @@ from serreweights import (
     character,
     j_v_ah,
     j_v_ah_bruteforce,
+    n_values,
     rederive_jvah,
     required_degree,
     ts_profile,
@@ -365,6 +368,27 @@ def test_three_routes_agree_on_the_wider_grid():
     """Every 97th point of the wider cells."""
     specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
     assert _three_routes_agree(specs[::97]) == 577
+
+
+def test_bruteforce_matches_the_per_label_scan_on_the_wider_grid():
+    """Every 97th point of the wider cells, at every admissible e_M: the
+    witness list built once per call gives the labels of one any() per
+    label; the number of (point, e_M) pairs compared is pinned."""
+    specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
+    compared = labelled = 0
+    for spec in specs[::97]:
+        try:
+            params, _, _, chi, profile = io_cli._grid_instance(spec)
+        except NoValidShift:
+            continue
+        q1 = params.tame_order
+        common = gcd(q1, *n_values(params, chi.signature))
+        for e_m in (q1 // d for d in range(1, common + 1) if common % d == 0):
+            want = scan_reference.j_v_ah_bruteforce_scan(params, profile, chi, e_m)
+            assert j_v_ah_bruteforce(params, profile, chi, e_m) == want, (spec, e_m)
+            compared += 1
+            labelled += bool(want)
+    assert (compared, labelled) == (1259, 1243)
 
 
 # (e, f, points with a shift subset) of the p = 7, e <= 3, f <= 3 cells.

@@ -1,5 +1,6 @@
 """Basis labels, the window set W', and the label subset J_V^AH."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from serreweights import (
     BasisLabel,
     FieldParams,
+    InternalInvariantViolation,
     InvalidEM,
     InvalidInput,
     NoMatchingIndex,
@@ -30,6 +32,8 @@ from serreweights import (
 )
 
 import oracles
+import serreweights.io_cli as io_cli
+from serreweights import serre_basis
 
 
 P3F2 = FieldParams(3, 1, 2)
@@ -293,3 +297,25 @@ def test_l_v_ah_result_invariants(p, e, f):
             assert BasisLabel.tres_ramifiee() not in res.labels
             has_unram = BasisLabel.unramified() in res.labels
             assert has_unram == quot.declared_trivial
+
+
+def test_routes_raise_where_i_m_index_would_on_colliding_n_values(monkeypatch):
+    """Both routes read the record's index table directly; on a record whose
+    n_0..n_{f'-1} collide, each raises the error that ``i_m_index`` raises,
+    at a point where candidates reach the table."""
+    params, _, _, chi, profile = io_cli._grid_instance((3, 1, 2, 0, (1, 2)))
+    assert j_v_ah(params, profile, chi) == {
+        BasisLabel.alpha(5, 0), BasisLabel.alpha(7, 0)
+    }
+    real = serre_basis._derived
+    monkeypatch.setattr(
+        serre_basis,
+        "_derived",
+        lambda params, sig: dataclasses.replace(real(params, sig), distinct=False),
+    )
+    message = "n_0..n_1 are not distinct mod 8"
+    with pytest.raises(InternalInvariantViolation, match=message):
+        i_m_index(params, chi, 5)
+    for route in (j_v_ah, j_v_ah_bruteforce):
+        with pytest.raises(InternalInvariantViolation, match=message):
+            route(params, profile, chi)

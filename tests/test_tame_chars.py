@@ -142,6 +142,16 @@ def test_validate_signature_errors():
         validate_signature(P3F2, TameSignature((1, 4)))
 
 
+def test_a_hand_built_invalid_signature_is_rejected_on_a_cache_miss():
+    """The record cache is keyed by plain values, so an invalid digit tuple
+    is a miss; the miss validates it, and a miss that raises caches nothing,
+    so a second call raises again."""
+    for a in ((0, 1), (3, 3), (1,), (1, 4)):
+        for _ in range(2):
+            with pytest.raises(InvariantError):
+                n_values(P3F2, TameSignature(a))
+
+
 def test_exponent_class_length_mismatch():
     with pytest.raises(InvalidInput):
         exponent_class(P3F2, (1, 2, 3))
