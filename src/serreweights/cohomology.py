@@ -53,11 +53,6 @@ def h1_dimension(params: FieldParams, chi: CharacterData) -> int:
     return params.e * params.f + extra
 
 
-def _interior_m_bound(params: FieldParams) -> int:
-    """Exclusive upper bound ep(p^f - 1)/(p - 1) for interior jump numerators."""
-    return params.e * params.p * params.repunit
-
-
 def _matching_indices(params: FieldParams, chi: CharacterData, m: int) -> int:
     return _derived(params, chi.signature).counts.get(m % params.tame_order, 0)
 
@@ -85,9 +80,7 @@ def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
     entries = []
     if chi.declared_trivial:
         entries.append((Fraction(0), 1))
-    for m, d in _matching_numerators(
-        params, chi.signature, 0, _interior_m_bound(params)
-    ):
+    for m, d in _matching_numerators(params, chi.signature, 0, params.window_top):
         entries.append((1 + Fraction(m, params.tame_order), d))
     if chi.declared_cyclotomic:
         entries.append((1 + Fraction(params.e * params.p, params.p - 1), 1))

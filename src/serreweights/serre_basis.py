@@ -32,6 +32,7 @@ from .tame_chars import (
     FieldParams,
     _Derived,
     _derived,
+    _matching_numerators,
     char_quotient,
     exponent_class,
     is_unramified,
@@ -93,23 +94,16 @@ class BasisLabel:
 def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
     """All window integers congruent to some n_i, ascending; |W'| = e*f'.
 
-    Built on the first call for a signature and kept on its cached record,
-    so commands that never read W' never build it.
+    These are the interior jump numerators, so W' is the walk of
+    ``_matching_numerators`` over (0, e*p*R).  Built on the first call for a
+    signature and kept on its cached record, so commands that never read W'
+    never build it.
     """
     derived = _derived(params, chi.signature)
     if derived.w_prime is None:
-        derived.w_prime = _build_w_prime(params, derived)
+        walk = _matching_numerators(params, chi.signature, 0, params.window_top)
+        derived.w_prime = tuple(m for m, _ in walk)
     return derived.w_prime
-
-
-def _build_w_prime(params: FieldParams, derived: _Derived) -> Tuple[int, ...]:
-    """Each residue's progression in (0, e*p*R), from its least positive
-    member (p^f - 1 for residue 0), less the multiples of p, merged."""
-    p, q1 = params.p, params.tame_order
-    top = params.e * p * params.repunit
-    return tuple(sorted(
-        m for residue in derived.counts for m in range(residue or q1, top, q1) if m % p
-    ))
 
 
 def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, ...]:
@@ -196,7 +190,6 @@ def j_v_ah(
     _check_profile_chi(params, profile, chi)
     p, f = params.p, params.f
     q1 = params.tame_order
-    window_top = params.e * params.p * params.repunit
     derived = _derived(params, chi.signature)
     f_prime, f_dprime = derived.niveau
     found: Dict[BasisLabel, Tuple[int, int]] = {}
@@ -208,7 +201,7 @@ def j_v_ah(
                 continue
             j = _p_valuation(p, x)
             a = x // p**j
-            if not 0 < a < window_top:
+            if not 0 < a < params.window_top:
                 continue
             try:
                 im = _index_in(derived, q1, chi, a)

@@ -104,6 +104,12 @@ class FieldParams:
         """(p^f - 1)/(p - 1): the all-ones digit value, lower window edge."""
         return (self.p**self.f - 1) // (self.p - 1)
 
+    @property
+    def window_top(self) -> int:
+        """e p (p^f - 1)/(p - 1), the top of the e windows: W' and the
+        interior jump numerators lie below it."""
+        return self.e * self.p * self.repunit
+
 
 # ---------------------------------------------------------------------------
 # Digit signatures

@@ -192,13 +192,13 @@ def test_shift_search_past_twenty_slots_exits_3(capsys):
 
 def test_dims_never_builds_w_prime(capsys, monkeypatch):
     """W' is built on the first ``w_prime`` call, not with the signature's
-    record: dims runs with ``_build_w_prime`` broken, and basis, which lists W',
+    record: dims runs with W''s walk broken, and basis, which lists W',
     reaches it."""
-    def broken(params, derived):
+    def broken(*args):
         raise AssertionError("W' was built")
 
     serreweights.tame_chars._derived_record.cache_clear()
-    monkeypatch.setattr(serreweights.serre_basis, "_build_w_prime", broken)
+    monkeypatch.setattr(serreweights.serre_basis, "_matching_numerators", broken)
     flags = ["--p", "3", "--e", "1000", "--f", "1", "--chi-exps=1"]
     code, doc = run_json(capsys, ["dims", *flags])
     assert code == 0 and doc["windows"] == [1] * 1000
