@@ -44,7 +44,7 @@ from .serre_basis import (
     validate_e_m,
     w_prime,
 )
-from .series_oracle import rederive_jvah, required_degree
+from .series_oracle import rederive_jvah
 from .tame_chars import (
     CharacterData,
     FieldParams,
@@ -122,7 +122,6 @@ __all__ = [
     "parse_problem",
     "rederive_jvah",
     "reduced_exponents",
-    "required_degree",
     "run_command",
     "shift_vector",
     "signature_class",

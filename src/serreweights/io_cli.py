@@ -16,9 +16,9 @@ Error messages name document paths.
 Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
 comparison fails; 2 for invalid input; 3 when a valid request exceeds a
-resource limit (the oracle's coefficient-field degree cap, the bound
-below which the primality test of p is exact, or the shift search's cap
-f <= 20).
+resource limit (the bound below which the primality test of p is exact,
+the field degree cap of 24 on the oracle's unramified value, the oracle's
+component bound n <= 65 536, or the shift search's cap f <= 20).
 
 ``argparse``, ``json``, ``csv`` and ``multiprocessing`` are imported where
 used, so importing the library loads none of them.

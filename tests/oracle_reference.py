@@ -18,16 +18,22 @@ definitions that the closed form is checked against live here:
   generator, each exponent m' gets its own compressed series E(lam v) from
   ``epsilon_series`` divided by ``dlog_truncated`` over the tensor ring,
   and a unit's dlog is the beta-scaled sum of those series, with the
-  coordinates beta from the Gauss-Jordan inverse of the component matrix.
+  coordinates beta from the Gauss-Jordan inverse of the component matrix;
+- ``rederive_jvah_lcm`` makes the pairings of ``rederive_jvah`` over the
+  field of degree lcm(n, r), in which both the n tensor components and the
+  unramified value of degree r embed, instead of over F_p(a) itself.
 
-Of the package they use only the finite fields, the tensor ring and
-``dlog_truncated``.
+Of the package they use only the finite fields, the tensor ring,
+``dlog_truncated`` and, in ``rederive_jvah_lcm``, the oracle's units,
+tuples and pairing.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
+from serreweights import BasisLabel, i_m_index, niveau, w_prime
 from serreweights._gf import field
 from serreweights.errors import (
     IntegralityViolation,
@@ -39,6 +45,10 @@ from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
     dlog_truncated,
+    epsilon_unit,
+    lambda_tuple,
+    monomial,
+    residue_trace_pairing,
 )
 
 
@@ -326,3 +336,48 @@ def artin_hasse_moebius(p: int, trunc: int) -> Tuple[int, ...]:
                         merged[i + j] = (merged[i + j] + a * factor[j]) % p
         result = merged
     return tuple(result)
+
+
+def lcm_degree(params, chi) -> int:
+    """lcm(f * order of a, r): the least degree in which the n tensor
+    components and the unramified value of degree r both embed."""
+    return lcm(params.f * chi.unram.order(params.p), chi.unram.order_field_degree)
+
+
+def rederive_jvah_lcm(params, profile, chi, e_m=None):
+    """``rederive_jvah``'s pairings over F_{p^L}, L = ``lcm_degree``.
+
+    a is the generator of F_{p^L} raised to (p^L - 1)/(p^r - 1) times the
+    part's dlog, a value of the same order as F_p(a)'s.  The monomials,
+    units, truncation and label rule are ``rederive_jvah``'s; the profile
+    and e_M are taken as already checked.
+    """
+    p, f = params.p, params.f
+    q1 = params.tame_order
+    e_m = q1 if e_m is None else e_m
+    order = chi.unram.order(p)
+    fq = field(p, lcm_degree(params, chi))
+    r = chi.unram.order_field_degree
+    a_val = fq.pow(fq.gen, (fq.order - 1) // (p**r - 1) * chi.unram.dlog)
+    if fq.element_order(a_val) != order:
+        raise InternalInvariantViolation("embedded unramified value has wrong order")
+    alg = TensorAlgebra(fq, f * order)
+    xi_scaled = [xi * e_m // q1 for xi in profile.xi]
+    spanning = [
+        monomial(alg, d * e_m - xi_scaled[i], lambda_tuple(alg, f, i, a_val, True))
+        for i in range(f)
+        for d in profile.intervals[i]
+    ]
+    if chi.declared_trivial:
+        spanning.append(monomial(alg, 0, lambda_tuple(alg, f, 0, a_val, True)))
+    trunc = max([0] + [-d for a in spanning for d in a.coeffs])
+    f_prime, f_dprime = niveau(params, chi.signature)
+    labels = set()
+    for m in w_prime(params, chi):
+        im = i_m_index(params, chi, m)
+        for k in range(f_dprime):
+            lam = lambda_tuple(alg, f, (im + k * f_prime) % f, a_val)
+            g = epsilon_unit(alg, lam, m // (q1 // e_m), trunc)
+            if any(residue_trace_pairing(alg, a, g) != fq.zero for a in spanning):
+                labels.add(BasisLabel.alpha(m, k))
+    return frozenset(labels)

@@ -162,19 +162,44 @@ def test_invalid_input_exits_2(capsys):
     capsys.readouterr()
 
 
-# A valid oracle request whose unramified part has order 31 at f = 3: the
-# coefficient field would need degree lcm(3 * 31, 5) = 465.
+# An oracle request whose unramified part has order 31 at f = 3: a field
+# holding both the 93 tensor components and the value has degree
+# lcm(3 * 31, 5) = 465, but the pairing's values lie in F_p(a) = F_{2^5}.
 ORACLE_DEGREE_465 = ["oracle", "--p", "2", "--e", "1", "--f", "3", "--r", "1,1,1",
                      "--chi1-exps", "0,0,0", "--chi2-exps", "0,0,0",
                      "--chi1-unram", "5:1"]
 
 
+def test_oracle_answers_in_the_field_of_the_unramified_value(capsys):
+    code, doc = run_json(capsys, ORACLE_DEGREE_465)
+    assert code == 0
+    assert doc["agree"] is True and doc["status"] == "ok"
+    assert doc["j_oracle"] == doc["j_constructive"] == doc["j_bruteforce"]
+
+
 def test_resource_limit_exits_3(capsys):
+    """An order of 2^16 - 1 at f = 3 needs n = 196 605 tensor components,
+    above the bound 2^16; the oracle stops before building a field or a
+    tuple."""
+    argv = ORACLE_DEGREE_465[:-1] + ["16:1"]
     start = time.perf_counter()
-    assert run_command(ORACLE_DEGREE_465) == 3
-    assert time.perf_counter() - start < 60.0  # no search up to degree 465
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit: ") and "465" in err
+    assert run_command(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource limit: the residue pairing needs n = f * order = 3 * 65535 = "
+        "196605 tensor components, above the bound n <= 65536\n"
+    )
+
+
+def test_field_degree_past_the_cap_exits_3(capsys):
+    """A value of order 29 at p = 2 lies in F_{2^28}: n = 29 is within its
+    bound, but the field's degree is above the cap of 24."""
+    argv = ["oracle", "--p", "2", "--e", "1", "--f", "1", "--r", "1",
+            "--chi1-exps", "0", "--chi2-exps", "0", "--chi1-unram", "28:9256395"]
+    assert run_command(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: extension degree 28 exceeds the supported cap 24\n"
+    )
 
 
 def test_shift_search_past_twenty_slots_exits_3(capsys):

@@ -1,12 +1,14 @@
 """Packed F_{p^r} arithmetic against the tuple-schoolbook reference."""
 
 import random
+from math import gcd
 
 import pytest
 
 import gf_reference
+import serreweights._gf
 from serreweights import InternalInvariantViolation, InvalidInput, ResourceLimitExceeded
-from serreweights._gf import _MAX_DEGREE, FiniteField, field
+from serreweights._gf import _MAX_DEGREE, FiniteField, field, prime_factors
 
 # r = 1, one-byte slots up to degree 24, two-byte slots (p = 5, 7, 11,
 # 13, 17) and three-byte slots (p = 257).  A product coefficient can reach
@@ -151,3 +153,22 @@ def test_degree_cap_is_a_resource_limit():
         FiniteField(2, 0)
     with pytest.raises(InvalidInput):
         field(3, 2).element([1, 2, 0])
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 4), (5, 3), (101, 1), (1000003, 1)])
+def test_each_field_factors_its_unit_order_once(monkeypatch, p, r):
+    """p^r - 1 is factored when the field is built, and p - 1 is not
+    factored on its own; ``element_order`` factors nothing."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(serreweights._gf, "prime_factors", counted)
+    fq = FiniteField(p, r)
+    assert calls == [p**r - 1]
+    x = fq.pow(fq.gen, 2)
+    assert fq.element_order(fq.gen) == p**r - 1
+    assert fq.element_order(x) == (p**r - 1) // gcd(p**r - 1, 2)
+    assert calls == [p**r - 1]

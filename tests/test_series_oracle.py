@@ -1,7 +1,8 @@
 """The oracle's closed-form unit dlogs, checked against the Artin-Hasse
 series of ``oracle_reference``; truncated Laurent arithmetic and the
-pairing's truncation checks; and ``rederive_jvah``, whose field degree and
-truncation come from the instance."""
+pairing's truncation checks; and ``rederive_jvah``, which pairs over F_p(a)
+with a truncation read from the instance, against the other two routes and
+against the same pairings over the lcm-degree field of ``oracle_reference``."""
 
 import random
 from fractions import Fraction
@@ -31,7 +32,6 @@ from serreweights import (
     j_v_ah_bruteforce,
     n_values,
     rederive_jvah,
-    required_degree,
     ts_profile,
 )
 from serreweights._gf import field
@@ -268,10 +268,10 @@ def _fixture_f1():
 def test_mu_order_and_degrees():
     chi = character(FP_F3, (1,), unram=UnramifiedPart(2, 2))
     assert chi.unram.order(FP_F3.p) == 4
-    assert required_degree(FP_F3, chi) == 4
+    assert oracle_reference.lcm_degree(FP_F3, chi) == 4
     triv = character(FP_F3, (1,))
     assert triv.unram.order(FP_F3.p) == 1
-    assert required_degree(FP_F3, triv) == 1
+    assert oracle_reference.lcm_degree(FP_F3, triv) == 1
 
 
 def test_rederive_fixture_f1():
@@ -320,26 +320,76 @@ def test_rederive_trivial_quotient_keeps_unramified_direction_separate():
     assert sorted(str(l) for l in got) == ["alpha(2,0)"]
 
 
-@pytest.mark.parametrize(
-    "p, r, chi1_exps, unram, chi2_exps, degree",
-    [
-        (2, (2, 1, 2), (2, 1, 2), UnramifiedPart(2, 1), (1, 1, 1), 18),
-        (3, (3, 3, 1), (3, 3, 1), UnramifiedPart(2, 2), (2, 2, 2), 12),
-    ],
-    ids=["p2-degree18", "p3-degree12"],
-)
-def test_rederive_over_large_coefficient_fields(
-    p, r, chi1_exps, unram, chi2_exps, degree
-):
+# Two (1, 3) instances of p = 2 and p = 3: (r, chi1's exponents, chi2's).
+F3_INSTANCES = {2: ((2, 1, 2), (2, 1, 2), (1, 1, 1)), 3: ((3, 3, 1), (3, 3, 1), (2, 2, 2))}
+
+
+def _f3_instance(p, unram):
     params = FieldParams(p, 1, 3)
+    r, chi1_exps, chi2_exps = F3_INSTANCES[p]
     chi1 = character(params, chi1_exps, unram=unram)
     chi2 = character(params, chi2_exps)
-    prof = ts_profile(params, r, chi1, chi2)
-    quot = char_quotient(params, chi1, chi2)
-    assert required_degree(params, quot) == degree
+    return params, ts_profile(params, r, chi1, chi2), char_quotient(params, chi1, chi2)
+
+
+@pytest.mark.parametrize(
+    "p, unram, degree",
+    [(2, UnramifiedPart(18, 13797), 18), (3, UnramifiedPart(12, 7280), 12)],
+    ids=["p2-degree18", "p3-degree12"],
+)
+def test_rederive_over_large_coefficient_fields(p, unram, degree):
+    """Values of order 19 and 73, whose fields F_p(a) are F_{2^18} and F_{3^12}."""
+    params, prof, quot = _f3_instance(p, unram)
+    assert quot.unram.order_field_degree == degree
     got = rederive_jvah(params, prof, quot)
     assert got == j_v_ah(params, prof, quot) == j_v_ah_bruteforce(params, prof, quot)
     assert len(got) == 3
+
+
+def _agrees_with_the_lcm_field(points) -> int:
+    """On each (grid point, part of chi1) with a shift subset, the oracle
+    over F_p(a) and over the lcm-degree field give the same labels; the
+    number of such points."""
+    checked = 0
+    for spec, part in points:
+        try:
+            params, _, _, chi, profile = io_cli._grid_instance(spec, part)
+        except NoValidShift:
+            continue
+        want = oracle_reference.rederive_jvah_lcm(params, profile, chi)
+        assert rederive_jvah(params, profile, chi) == want, (spec, part)
+        checked += 1
+    return checked
+
+
+# (point, part) pairs of the verify oracle grid with a shift subset
+LCM_VERIFY_POINTS = 398
+
+
+def test_lcm_field_agrees_on_the_verify_oracle_grid():
+    """The oracle grid of ``verify --with-oracle``, with its parts of chi1."""
+    points = [
+        (spec, part)
+        for cell in io_cli._grid_cells(3, 2, 2)
+        for spec in io_cli._cell_instances(cell)
+        for part in io_cli._ORACLE_MUS[cell[0]]
+    ]
+    assert _agrees_with_the_lcm_field(points) == LCM_VERIFY_POINTS
+
+
+@pytest.mark.parametrize(
+    "p, unram, degree",
+    [(2, UnramifiedPart(2, 1), 18), (3, UnramifiedPart(2, 2), 12)],
+    ids=["p2-degree18", "p3-degree12"],
+)
+def test_lcm_field_agrees_on_the_large_field_parts(p, unram, degree):
+    """Values of order 3 and 4 at f = 3, which the lcm-degree field puts
+    in F_{2^18} and F_{3^12}, and F_p(a) in F_4 and F_9."""
+    params, prof, quot = _f3_instance(p, unram)
+    assert oracle_reference.lcm_degree(params, quot) == degree
+    assert quot.unram.order_field_degree == 2
+    want = oracle_reference.rederive_jvah_lcm(params, prof, quot)
+    assert rederive_jvah(params, prof, quot) == want == j_v_ah(params, prof, quot)
 
 
 # The cells of the wider grid, past the p <= 3, e <= 2, f <= 2 grid of
@@ -347,14 +397,15 @@ def test_rederive_over_large_coefficient_fields(
 WIDE_CELLS = [(5, 3, 3), (7, 1, 3), (7, 2, 2), (7, 3, 3), (3, 1, 4)]
 
 
-def _three_routes_agree(specs) -> int:
-    """On each grid point with a shift subset, chi1 with unramified part of
-    order p - 1, the oracle, the constructive route and the brute-force
-    witness search give the same labels; the number of such points."""
+def _three_routes_agree(specs, part=UnramifiedPart(1, 1)) -> int:
+    """On each grid point with a shift subset, chi1 with unramified part
+    ``part`` (by default of order p - 1), the oracle, the constructive route
+    and the brute-force witness search give the same labels; the number of
+    such points."""
     checked = 0
     for spec in specs:
         try:
-            params, _, _, chi, profile = io_cli._grid_instance(spec, UnramifiedPart(1, 1))
+            params, _, _, chi, profile = io_cli._grid_instance(spec, part)
         except NoValidShift:
             continue
         want = j_v_ah(params, profile, chi)
@@ -368,6 +419,13 @@ def test_three_routes_agree_on_the_wider_grid():
     """Every 97th point of the wider cells."""
     specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
     assert _three_routes_agree(specs[::97]) == 577
+
+
+def test_lcm_field_agrees_on_the_wider_grid():
+    """The same every 97th point of the wider cells, part ``1:1``."""
+    specs = [spec for cell in WIDE_CELLS for spec in io_cli._cell_instances(cell)]
+    points = [(spec, UnramifiedPart(1, 1)) for spec in specs[::97]]
+    assert _agrees_with_the_lcm_field(points) == 577
 
 
 def test_bruteforce_matches_the_per_label_scan_on_the_wider_grid():
@@ -404,3 +462,29 @@ P7_CELLS = [
 def test_three_routes_agree_on_the_full_p7_grid(e, f, points):
     """Every point of the p = 7, e <= 3, f <= 3 cells, one cell a test."""
     assert _three_routes_agree(io_cli._cell_instances((7, e, f))) == points
+
+
+# (p, e, f, points of every 7th with a shift subset, points of all): cells
+# with e >= p - 1, the ramified regime of the paper, where the p-th roots of
+# unity can lie in the base when (p - 1) | e.
+RAMIFIED_CELLS = [
+    (5, 4, 1, 3, 20), (5, 4, 2, 83, 588), (5, 8, 2, 86, 600),
+    (7, 6, 1, 6, 42), (7, 6, 2, 331, 2322),
+    (11, 10, 1, 16, 110), (13, 12, 1, 23, 156),
+]
+RAMIFIED_PARTS = [UnramifiedPart(1, 1), UnramifiedPart(2, 1)]
+
+
+@pytest.mark.parametrize("p, e, f, sampled, _", RAMIFIED_CELLS)
+def test_three_routes_agree_in_the_ramified_regime(p, e, f, sampled, _):
+    """Every 7th point, chi1 with a part of degree 1 and one of degree 2."""
+    specs = io_cli._cell_instances((p, e, f))[::7]
+    for part in RAMIFIED_PARTS:
+        assert _three_routes_agree(specs, part) == sampled
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, e, f, _, points", RAMIFIED_CELLS)
+def test_three_routes_agree_on_the_full_ramified_cells(p, e, f, _, points):
+    for part in RAMIFIED_PARTS:
+        assert _three_routes_agree(io_cli._cell_instances((p, e, f)), part) == points
