@@ -38,14 +38,11 @@ There are no log or Zech tables: for the 2^18-element fields of the
 residue pairing a log/antilog pair would take about 19 MB, several times
 what the packed arithmetic needs in all.
 
-A field factors p^r - 1 once, by trial division, when it is built; the
-modulus search and ``element_order`` read that list, and the primes of
-p - 1 are those of the list that divide p - 1.  The degree is capped at
-``_MAX_DEGREE``, a resource limit rather than a validity condition: trial
-division is meant for the small fields the residue pairing needs, not for
-cryptographic sizes.  A larger degree raises ``ResourceLimitExceeded``.
-The residue pairing asks for the degree of the unramified value's own
-field, so the cap binds that degree only.
+The degree is capped at ``_MAX_DEGREE``, a resource limit rather than a
+validity condition: a field factors p^r - 1 once, by trial division, for
+its modulus search and order checks, which is meant for the small fields
+the residue pairing needs, not for cryptographic sizes.  A larger degree
+raises ``ResourceLimitExceeded``.
 """
 
 from __future__ import annotations
@@ -103,9 +100,7 @@ class FiniteField:
         self._p_slots = self._pack([p] * r)  # p in every slot, for sub
         self.zero: Element = bytes(self._size)
         self.one: Element = self.scalar(1)
-        # The primes of p^r - 1, the one factorization a field makes: the
-        # modulus search and every element_order read it.
-        self._unit_primes = prime_factors(self.order - 1)
+        self._unit_primes = prime_factors(self.order - 1)  # the one factorization
         self.modulus = self._find_modulus()
         self._tail = self._pack([(-c) % p for c in self.modulus])
         self.gen: Element = self._x(self.modulus)
@@ -185,10 +180,8 @@ class FiniteField:
         p, r = self.p, self.r
         unit_order = self.order - 1
         cofactors = [unit_order // ell for ell in self._unit_primes]
-        # p - 1 divides p^r - 1, so its primes are among those of p^r - 1
-        norm_cofactors = [
-            (p - 1) // ell for ell in self._unit_primes if (p - 1) % ell == 0
-        ]
+        # p - 1 divides p^r - 1: its primes are among the field's
+        norm_cofactors = [(p - 1) // q for q in self._unit_primes if (p - 1) % q == 0]
         sign = (-1) ** r
         for code in range(p**r):
             candidate = tuple(code // p**i % p for i in range(r))

@@ -17,8 +17,8 @@ Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
 comparison fails; 2 for invalid input; 3 when a valid request exceeds a
 resource limit (the bound below which the primality test of p is exact,
-the field degree cap of 24 on the oracle's unramified value, the oracle's
-component bound n <= 65 536, or the shift search's cap f <= 20).
+the field degree cap, the oracle's component bound, or the shift
+search's cap f <= 20).
 
 ``argparse``, ``json``, ``csv`` and ``multiprocessing`` are imported where
 used, so importing the library loads none of them.

@@ -92,12 +92,10 @@ class BasisLabel:
 
 
 def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
-    """All window integers congruent to some n_i, ascending; |W'| = e*f'.
+    """The interior jump numerators in (0, e*p*R), ascending; |W'| = e*f'.
 
-    These are the interior jump numerators, so W' is the walk of
-    ``_matching_numerators`` over (0, e*p*R).  Built on the first call for a
-    signature and kept on its cached record, so commands that never read W'
-    never build it.
+    Built on the first call for a signature and kept on its cached record,
+    so commands that never read W' never build it.
     """
     derived = _derived(params, chi.signature)
     if derived.w_prime is None:

@@ -106,8 +106,7 @@ class FieldParams:
 
     @property
     def window_top(self) -> int:
-        """e p (p^f - 1)/(p - 1), the top of the e windows: W' and the
-        interior jump numerators lie below it."""
+        """e p (p^f - 1)/(p - 1): W' and the interior jump numerators lie below."""
         return self.e * self.p * self.repunit
 
 

@@ -187,7 +187,7 @@ def test_resource_limit_exits_3(capsys):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "resource limit: the residue pairing needs n = f * order = 3 * 65535 = "
-        "196605 tensor components, above the bound n <= 65536\n"
+        "196605 components, above the bound n <= 65536\n"
     )
 
 
