@@ -344,17 +344,17 @@ def lcm_degree(params, chi) -> int:
     return lcm(params.f * chi.unram.order(params.p), chi.unram.order_field_degree)
 
 
-def rederive_jvah_lcm(params, profile, chi, e_m=None):
-    """``rederive_jvah``'s pairings over F_{p^L}, L = ``lcm_degree``.
+def rederive_jvah_lcm(params, profile, chi):
+    """``rederive_jvah``'s pairings over F_{p^L}, L = ``lcm_degree``, at
+    e_M = p^f - 1.
 
     a is the generator of F_{p^L} raised to (p^L - 1)/(p^r - 1) times the
     part's dlog, a value of the same order as F_p(a)'s.  The monomials,
     units, truncation and label rule are ``rederive_jvah``'s; the profile
-    and e_M are taken as already checked.
+    is taken as already checked.
     """
     p, f = params.p, params.f
     q1 = params.tame_order
-    e_m = q1 if e_m is None else e_m
     order = chi.unram.order(p)
     fq = field(p, lcm_degree(params, chi))
     r = chi.unram.order_field_degree
@@ -362,9 +362,8 @@ def rederive_jvah_lcm(params, profile, chi, e_m=None):
     if fq.element_order(a_val) != order:
         raise InternalInvariantViolation("embedded unramified value has wrong order")
     alg = TensorAlgebra(fq, f * order)
-    xi_scaled = [xi * e_m // q1 for xi in profile.xi]
     spanning = [
-        monomial(alg, d * e_m - xi_scaled[i], lambda_tuple(alg, f, i, a_val, True))
+        monomial(alg, d * q1 - profile.xi[i], lambda_tuple(alg, f, i, a_val, True))
         for i in range(f)
         for d in profile.intervals[i]
     ]
@@ -377,7 +376,7 @@ def rederive_jvah_lcm(params, profile, chi, e_m=None):
         im = i_m_index(params, chi, m)
         for k in range(f_dprime):
             lam = lambda_tuple(alg, f, (im + k * f_prime) % f, a_val)
-            g = epsilon_unit(alg, lam, m // (q1 // e_m), trunc)
+            g = epsilon_unit(alg, lam, m, trunc)
             if any(residue_trace_pairing(alg, a, g) != fq.zero for a in spanning):
                 labels.add(BasisLabel.alpha(m, k))
     return frozenset(labels)

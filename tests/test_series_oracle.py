@@ -321,7 +321,10 @@ def test_rederive_trivial_quotient_keeps_unramified_direction_separate():
 
 
 # Two (1, 3) instances of p = 2 and p = 3: (r, chi1's exponents, chi2's).
-F3_INSTANCES = {2: ((2, 1, 2), (2, 1, 2), (1, 1, 1)), 3: ((3, 3, 1), (3, 3, 1), (2, 2, 2))}
+F3_INSTANCES = {
+    2: ((2, 1, 2), (2, 1, 2), (1, 1, 1)),
+    3: ((3, 3, 1), (3, 3, 1), (2, 2, 2)),
+}
 
 
 def _f3_instance(p, unram):
@@ -362,19 +365,16 @@ def _agrees_with_the_lcm_field(points) -> int:
     return checked
 
 
-# (point, part) pairs of the verify oracle grid with a shift subset
-LCM_VERIFY_POINTS = 398
-
-
 def test_lcm_field_agrees_on_the_verify_oracle_grid():
-    """The oracle grid of ``verify --with-oracle``, with its parts of chi1."""
+    """The oracle grid of ``verify --with-oracle``, with its parts of chi1;
+    398 (point, part) pairs have a shift subset."""
     points = [
         (spec, part)
         for cell in io_cli._grid_cells(3, 2, 2)
         for spec in io_cli._cell_instances(cell)
         for part in io_cli._ORACLE_MUS[cell[0]]
     ]
-    assert _agrees_with_the_lcm_field(points) == LCM_VERIFY_POINTS
+    assert _agrees_with_the_lcm_field(points) == 398
 
 
 @pytest.mark.parametrize(
