@@ -14,9 +14,8 @@ All level arithmetic is exact via ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .errors import InternalInvariantViolation, InvalidInput, InvariantError
 from .tame_chars import (
@@ -30,21 +29,25 @@ from .tame_chars import (
 Level = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class JumpProfile:
-    """All filtration levels with nonzero graded dimension, sorted by level."""
-
+class _JumpProfileFields(NamedTuple):
     entries: Tuple[Tuple[Fraction, int], ...]
     total: int
 
-    def __post_init__(self) -> None:
-        levels = [s for s, _ in self.entries]
+
+class JumpProfile(_JumpProfileFields):
+    """All filtration levels with nonzero graded dimension, sorted by level."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: Tuple[Tuple[Fraction, int], ...], total: int) -> JumpProfile:
+        levels = [s for s, _ in entries]
         if levels != sorted(levels):
             raise InvariantError("jump entries must be sorted by level")
-        if any(d <= 0 for _, d in self.entries):
+        if any(d <= 0 for _, d in entries):
             raise InvariantError("jump entries must have positive dimension")
-        if self.total != sum(d for _, d in self.entries):
+        if total != sum(d for _, d in entries):
             raise InvariantError("total must equal the sum of jump dimensions")
+        return tuple.__new__(cls, (entries, total))
 
 
 def h1_dimension(params: FieldParams, chi: CharacterData) -> int:

@@ -29,11 +29,10 @@ from __future__ import annotations
 import io
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import h1_dimension, jump_profile, window_cardinality
 from .errors import (
@@ -87,8 +86,7 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     params: FieldParams
     weight: SerreWeight
     chi1: CharacterData

@@ -49,7 +49,6 @@ powers of a, chi's value on Frobenius, so F_q is F_p(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ._gf import Element, FiniteField, field
@@ -109,23 +108,37 @@ class TensorAlgebra:
         return tuple(self.fq.inv(x) for x in a)
 
     def trace(self, a: TensorScalar) -> Element:
-        total = self.fq.zero
+        """Sum of the components, skipping the zeros (most of a product's)."""
+        zero = total = self.fq.zero
         for x in a:
-            total = self.fq.add(total, x)
+            if x != zero:
+                total = self.fq.add(total, x)
         return total
 
 
-@dataclass
 class LaurentElement:
     """Finitely many known coefficients; degrees above ``trunc`` are unknown.
 
     ``trunc`` = None means the element is exact (a Laurent polynomial).
     Stored coefficients are nonzero; absent degrees at or below the
-    truncation bound are genuinely zero.
+    truncation bound are genuinely zero.  Equal when both fields are.
     """
 
-    coeffs: Dict[int, TensorScalar] = dataclass_field(default_factory=dict)
-    trunc: Optional[int] = None
+    __slots__ = ("coeffs", "trunc")
+
+    def __init__(
+        self, coeffs: Optional[Dict[int, TensorScalar]] = None, trunc: Optional[int] = None
+    ) -> None:
+        self.coeffs = {} if coeffs is None else coeffs
+        self.trunc = trunc
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentElement):
+            return NotImplemented
+        return (self.coeffs, self.trunc) == (other.coeffs, other.trunc)
+
+    def __repr__(self) -> str:
+        return f"LaurentElement(coeffs={self.coeffs!r}, trunc={self.trunc!r})"
 
 
 def monomial(alg: TensorAlgebra, degree: int, coeff: TensorScalar) -> LaurentElement:
@@ -316,13 +329,15 @@ def rederive_jvah(
             )
         spanning.append(monomial(alg, 0, lambda_tuple(alg, f, 0, a_val, inverse=True)))
     trunc = max([0] + [-d for a in spanning for d in a.coeffs])
+    # Every residue index occurs as some t_alpha, so build each tuple once.
+    eigen = [lambda_tuple(alg, f, t, a_val) for t in range(f)]
     labels = set()
     for m in w_prime(params, chi):
         m_prime = m // scale
         im = i_m_index(params, chi, m)
         for k in range(f_dprime):
             t_alpha = (im + k * f_prime) % f
-            g = epsilon_unit(alg, lambda_tuple(alg, f, t_alpha, a_val), m_prime, trunc)
+            g = epsilon_unit(alg, eigen[t_alpha], m_prime, trunc)
             if any(residue_trace_pairing(alg, a, g) != fq.zero for a in spanning):
                 labels.add(BasisLabel.alpha(m, k))
     return frozenset(labels)

@@ -18,8 +18,7 @@ Both must agree, and their common cardinality must be sum_i |I_i|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolation,
@@ -51,8 +50,7 @@ _UNRAMIFIED = "unramified"
 _TRES_RAMIFIEE = "tres_ramifiee"
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """One basis class: either alpha = (m, k), or one of two special lines."""
 
     kind: str
@@ -61,7 +59,7 @@ class BasisLabel:
 
     @staticmethod
     def alpha(m: int, k: int) -> "BasisLabel":
-        return BasisLabel(_ALPHA, m, k)
+        return tuple.__new__(BasisLabel, (_ALPHA, m, k))
 
     @staticmethod
     def unramified() -> "BasisLabel":
@@ -277,8 +275,7 @@ def j_v_ah_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LVResult:
+class LVResult(NamedTuple):
     """Ordered label set for the distinguished subspace, with bookkeeping.
 
     When chi is trivial the spanning set contains one extra degree choice

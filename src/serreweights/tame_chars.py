@@ -26,10 +26,9 @@ the power (p^L - 1)/(p^r - 1) of the degree-L generator.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidInput, InvariantError, ResourceLimitExceeded
 
@@ -76,19 +75,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Residue characteristic p, ramification index e, residue degree f."""
-
+class _FieldParamsFields(NamedTuple):
     p: int
     e: int
     f: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise InvalidInput(f"p = {self.p} is not prime")
-        if self.e < 1 or self.f < 1:
-            raise InvalidInput(f"need e >= 1 and f >= 1, got e={self.e}, f={self.f}")
+
+class FieldParams(_FieldParamsFields):
+    """Residue characteristic p, ramification index e, residue degree f."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, e: int, f: int) -> FieldParams:
+        if not is_prime(p):
+            raise InvalidInput(f"p = {p} is not prime")
+        if e < 1 or f < 1:
+            raise InvalidInput(f"need e >= 1 and f >= 1, got e={e}, f={f}")
+        return tuple.__new__(cls, (p, e, f))
 
     @property
     def q(self) -> int:
@@ -115,8 +118,7 @@ class FieldParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TameSignature:
+class TameSignature(NamedTuple):
     """Canonical inertial exponent tuple: every entry in [1, p], not all p."""
 
     a: Tuple[int, ...]
@@ -208,7 +210,6 @@ def niveau(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
     return _derived(params, sig).niveau
 
 
-@dataclass(slots=True)
 class _Derived:
     """What the signature determines, computed once per (p, e, f, signature).
 
@@ -219,29 +220,28 @@ class _Derived:
     that reads it, which builds it and stores it here.
     """
 
-    n: Tuple[int, ...]
-    niveau: Tuple[int, int]
-    index_of: Dict[int, int]
-    distinct: bool
-    counts: Dict[int, int]
-    w_prime: Optional[Tuple[int, ...]] = None
+    __slots__ = ("n", "niveau", "index_of", "distinct", "counts", "w_prime")
 
-
-def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
-    """The record of a valid signature; a miss validates it first.
-
-    The cache is keyed by the plain values (p, e, f, digits), which hash in
-    C, not by the two records, whose dataclass hashes run in Python.  It
-    holds 128 records, each of O(f) ints, plus e*f' ints for one whose W'
-    was asked for.  At 64 the p = 5, f = 3 cell of the verify grid, whose
-    124 signature classes recur once per chi2 class, evicted most records
-    before their next use.
-    """
-    return _derived_record(params.p, params.e, params.f, sig.a)
+    def __init__(self, n, niveau, index_of, distinct, counts, w_prime=None) -> None:
+        self.n: Tuple[int, ...] = n
+        self.niveau: Tuple[int, int] = niveau
+        self.index_of: Dict[int, int] = index_of
+        self.distinct: bool = distinct
+        self.counts: Dict[int, int] = counts
+        self.w_prime: Optional[Tuple[int, ...]] = w_prime
 
 
 @lru_cache(maxsize=128)
-def _derived_record(p: int, e: int, f: int, a: Tuple[int, ...]) -> _Derived:
+def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
+    """The record of a valid signature; a miss validates it first.
+
+    The cache is keyed by the two records, tuples that hash in C.  It holds
+    128 records, each of O(f) ints, plus e*f' ints for one whose W' was
+    asked for.  At 64 the p = 5, f = 3 cell of the verify grid, whose 124
+    signature classes recur once per chi2 class, evicted most records before
+    their next use.
+    """
+    p, f, a = params.p, params.f, sig.a
     _check_digits(p, f, a)
     q1 = p**f - 1
     n = tuple(
@@ -280,8 +280,7 @@ def _matching_numerators(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnramifiedPart:
+class UnramifiedPart(NamedTuple):
     """Value on Frobenius as a discrete log in the degree-r generator."""
 
     order_field_degree: int = 1
@@ -331,8 +330,7 @@ def _normalize_unram(p: int, degree: int, dlog: int) -> UnramifiedPart:
     return UnramifiedPart(r, dlog // (big // (p**r - 1)))
 
 
-@dataclass(frozen=True)
-class CharacterData:
+class CharacterData(NamedTuple):
     """A tame character: digit signature, unramified part, and declarations.
 
     ``declared_trivial`` is fully determined by the data and is recomputed.

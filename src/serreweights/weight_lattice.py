@@ -21,9 +21,8 @@ the characters are consistent with the profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
 from .errors import (
     ChiMismatch,
@@ -49,8 +48,7 @@ from .tame_chars import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SerreWeight:
+class SerreWeight(NamedTuple):
     """Highest-weight data (eta, theta) indexed by the f embeddings."""
 
     eta: Tuple[int, ...]
@@ -270,8 +268,7 @@ def _least_shift(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     """Shift data attached to a normalized weight and character pair."""
 
     r: Tuple[int, ...]

@@ -1,7 +1,6 @@
 """Command-line interface: reports, exit codes, schema, and determinism."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -23,12 +22,14 @@ from serreweights import (
     SchemaError,
     SerreWeightsError,
     character,
+    l_v_ah,
     parse_problem,
     reduced_exponents,
     run_command,
 )
 import serreweights
 import serreweights.io_cli as io_cli
+from serreweights import serre_basis
 
 
 def run_json(capsys, argv):
@@ -222,7 +223,7 @@ def test_dims_never_builds_w_prime(capsys, monkeypatch):
     def broken(*args):
         raise AssertionError("W' was built")
 
-    serreweights.tame_chars._derived_record.cache_clear()
+    serreweights.tame_chars._derived.cache_clear()
     monkeypatch.setattr(serreweights.serre_basis, "_matching_numerators", broken)
     flags = ["--p", "3", "--e", "1000", "--f", "1", "--chi-exps=1"]
     code, doc = run_json(capsys, ["dims", *flags])
@@ -318,13 +319,16 @@ def test_python_dash_m_runs_the_cli():
 
 
 CLI_ONLY_MODULES = ("multiprocessing", "argparse", "csv", "json")
+# The records are NamedTuples, so nothing in the package loads these.
+UNUSED_MODULES = ("dataclasses", "inspect")
 
 
 def test_import_loads_no_multiprocessing():
-    """Nor any other module that only the command line uses."""
+    """Nor any other module that only the command line uses, nor one that
+    no module of the package uses."""
     done = run_python(
-        ["-c", "import sys, serreweights; "
-               f"print([m for m in {CLI_ONLY_MODULES!r} if m in sys.modules])"]
+        ["-c", "import sys, serreweights; print([m for m in "
+               f"{CLI_ONLY_MODULES + UNUSED_MODULES!r} if m in sys.modules])"]
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -841,7 +845,7 @@ def test_verify_reports_mutations(capsys, monkeypatch):
 
     def corrupted(params, weight_r, chi1, chi2):
         profile = real(params, weight_r, chi1, chi2)
-        return dataclasses.replace(profile, xi=(profile.xi[0] + 1,) + profile.xi[1:])
+        return profile._replace(xi=(profile.xi[0] + 1,) + profile.xi[1:])
 
     # p = 2, f = 1 has tame order 1, where every congruence is vacuous, so
     # the grid must include p = 3 cells for the corruption to be visible
@@ -880,7 +884,7 @@ def test_verify_counts_each_failing_instance_once(capsys, monkeypatch):
 
     def corrupted(params, weight_r, chi1, chi2):
         profile = real(params, weight_r, chi1, chi2)
-        return dataclasses.replace(profile, s=tuple(si + 1 for si in profile.s))
+        return profile._replace(s=tuple(si + 1 for si in profile.s))
 
     monkeypatch.setattr(io_cli, "ts_profile", corrupted)
     code, doc = run_json(
@@ -893,6 +897,38 @@ def test_verify_counts_each_failing_instance_once(capsys, monkeypatch):
     assert counts["profile_reflection"] + raised == shifted
     assert all(count <= shifted - raised for count in counts.values())
     assert counts["profile_membership"] > 0  # some s_i + 1 leave the pool
+
+
+def test_a_label_dropped_from_j_v_ah_leaves_l_v_ah_and_lv(capsys, monkeypatch):
+    """The benchmark's self-test breaks the package by rebinding
+    ``serre_basis.j_v_ah`` to drop the smallest label, and expects every
+    report to lose it: ``l_v_ah`` and the ``lv`` command read the route at
+    call time."""
+    argv = ["lv", "--p", "3", "--e", "3", "--f", "1", "--r", "2",
+            "--chi1-exps", "2", "--chi2-exps", "0"]
+    problem = parse_problem(
+        {"params": {"p": 3, "e": 3, "f": 1}, "weight": {"r": [2]},
+         "chi1": {"exps": [2]}, "chi2": {"exps": [0]}}
+    )
+    lv_args = problem.params, problem.weight, problem.chi1, problem.chi2
+    before = l_v_ah(*lv_args).labels
+    assert [str(label) for label in before] == [
+        "alpha(2,0)", "alpha(4,0)", "alpha(8,0)", "unramified"
+    ]
+    _, doc = run_json(capsys, argv)
+    assert len(doc["labels"]) == len(before)
+    real = serre_basis.j_v_ah
+
+    def dropped(*args, **kwargs):
+        labels = real(*args, **kwargs)
+        return labels - {min(labels, key=serre_basis.BasisLabel.sort_key)}
+
+    monkeypatch.setattr(serre_basis, "j_v_ah", dropped)
+    assert l_v_ah(*lv_args).labels == before[1:]
+    code, broken = run_json(capsys, argv)
+    assert code == 0
+    assert broken["labels"] == doc["labels"][1:]
+    assert broken["dimension"] == doc["dimension"] - 1
 
 
 def test_verify_counts_a_lossy_bruteforce_route(capsys, monkeypatch):

@@ -3,21 +3,31 @@
 ``character`` and ``char_quotient`` validate each character as it is built,
 and the helpers that receive one trust it.  These tests stand in for the
 per-helper re-validation: every record the package builds, over every
-signature class of the small cells, satisfies the public validator.
+signature class of the small cells, satisfies the public validator.  The
+last tests pin what a record is: a NamedTuple, with the repr of its fields,
+equal to the plain tuple of them.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from serreweights import (
+    BasisLabel,
     CharacterData,
     FieldParams,
+    InvalidInput,
     InvariantError,
+    JumpProfile,
+    LVResult,
     NoValidShift,
+    Problem,
     SerreWeight,
+    TameSignature,
     UnramifiedPart,
+    WeightProfile,
     char_quotient,
     character,
     cyclotomic_inertia_signature,
@@ -166,3 +176,96 @@ def test_hand_built_records_get_the_builder_messages():
         validate_character(
             p2f1, CharacterData(sig, UnramifiedPart(2, 1), False, True)
         )
+
+
+# ---------------------------------------------------------------------------
+# The records are NamedTuples
+# ---------------------------------------------------------------------------
+
+SIG = TameSignature((1, 2))
+UNRAM = UnramifiedPart(2, 1)
+CHI = CharacterData(SIG, UNRAM)
+CHI_REPR = (
+    "CharacterData(signature=TameSignature(a=(1, 2)), "
+    "unram=UnramifiedPart(order_field_degree=2, dlog=1), "
+    "declared_trivial=False, declared_cyclotomic=False)"
+)
+WEIGHT = SerreWeight((1, 1), (0, 0))
+
+
+RECORD_REPRS = [
+    (FieldParams(3, 2, 1), "FieldParams(p=3, e=2, f=1)"),
+    (SIG, "TameSignature(a=(1, 2))"),
+    (UNRAM, "UnramifiedPart(order_field_degree=2, dlog=1)"),
+    (UnramifiedPart(), "UnramifiedPart(order_field_degree=1, dlog=0)"),
+    (CHI, CHI_REPR),
+    (WEIGHT, "SerreWeight(eta=(1, 1), theta=(0, 0))"),
+    (
+        WeightProfile((2,), (1,), (2,), ((1, 2),), (7,), frozenset({0})),
+        "WeightProfile(r=(2,), t=(1,), s=(2,), intervals=((1, 2),), xi=(7,), "
+        "j_min=frozenset({0}))",
+    ),
+    (BasisLabel.alpha(5, 0), "BasisLabel(kind='alpha', m=5, k=0)"),
+    (BasisLabel.unramified(), "BasisLabel(kind='unramified', m=None, k=None)"),
+    (
+        LVResult((BasisLabel.alpha(5, 0),), False, 1, 8),
+        "LVResult(labels=(BasisLabel(kind='alpha', m=5, k=0),), exceptional=False, "
+        "dimension=1, e_m=8, extra_degree_index=None, extra_degree=None)",
+    ),
+    (
+        JumpProfile(((Fraction(0), 1), (Fraction(3, 2), 1)), 2),
+        "JumpProfile(entries=((Fraction(0, 1), 1), (Fraction(3, 2), 1)), total=2)",
+    ),
+    (
+        Problem(FieldParams(3, 1, 2), WEIGHT, CHI, CHI, e_m=8),
+        "Problem(params=FieldParams(p=3, e=1, f=2), "
+        "weight=SerreWeight(eta=(1, 1), theta=(0, 0)), "
+        f"chi1={CHI_REPR}, chi2={CHI_REPR}, e_m=8, chi_cyclotomic=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, text", RECORD_REPRS, ids=[type(r).__name__ for r, _ in RECORD_REPRS]
+)
+def test_record_repr_names_every_field(record, text):
+    assert repr(record) == text
+
+
+def test_a_record_is_the_tuple_of_its_fields():
+    label = BasisLabel.alpha(5, 0)
+    assert label == ("alpha", 5, 0) and hash(label) == hash(("alpha", 5, 0))
+    assert label == BasisLabel("alpha", 5, 0) and type(label) is BasisLabel
+    assert str(label) == "alpha(5,0)" and label.is_alpha
+    assert BasisLabel.tres_ramifiee() == ("tres_ramifiee", None, None)
+    params = FieldParams(3, 2, 1)
+    assert params == (3, 2, 1) and hash(params) == hash((3, 2, 1))
+    p, e, f = params
+    assert (p, e, f) == (3, 2, 1) and params.tame_order == 2
+    fields = (SIG, UNRAM, False, False)
+    assert CHI == fields and hash(CHI) == hash(fields)
+    assert UnramifiedPart() == (1, 0)
+    assert BasisLabel.alpha(5, 1) < BasisLabel.alpha(7, 0)
+
+
+def test_replace_skips_the_constructor_checks():
+    assert FieldParams(3, 2, 1)._replace(p=4) == (4, 2, 1)
+    with pytest.raises(InvalidInput, match="p = 4 is not prime"):
+        FieldParams(4, 2, 1)
+    jumps = JumpProfile(((Fraction(0), 1),), 1)
+    assert jumps._replace(total=5).total == 5
+
+
+@pytest.mark.parametrize(
+    "entries, total, message",
+    [
+        (((Fraction(2), 1), (Fraction(1), 1)), 2, "sorted by level"),
+        (((Fraction(1), 0),), 0, "positive dimension"),
+        (((Fraction(1), 1),), 2, "sum of jump dimensions"),
+    ],
+)
+def test_jump_profile_checks_its_entries(entries, total, message):
+    with pytest.raises(InvariantError, match=message):
+        JumpProfile(entries, total)
+    with pytest.raises(InvariantError, match=message):
+        JumpProfile(entries=entries, total=total)

@@ -107,8 +107,13 @@ def test_dlog_examples():
     alg = TensorAlgebra(fq, 1)
     one_plus_u = LaurentElement({0: alg.one, 1: alg.one})
     logd = dlog_truncated(alg, one_plus_u, trunc=3)
-    assert logd.coeffs == {1: (fq.scalar(1),), 2: (fq.scalar(2),), 3: (fq.scalar(1),)}
-    assert dlog_truncated(alg, LaurentElement({0: alg.one}), trunc=3).coeffs == {}
+    coeffs = {1: (fq.scalar(1),), 2: (fq.scalar(2),), 3: (fq.scalar(1),)}
+    # Laurent elements compare by value: both the coefficients and the bound
+    assert logd == LaurentElement(dict(coeffs), 3) != LaurentElement(coeffs)
+    assert dlog_truncated(alg, LaurentElement({0: alg.one}), trunc=3) == LaurentElement(
+        trunc=3
+    )
+    assert repr(LaurentElement(trunc=3)) == "LaurentElement(coeffs={}, trunc=3)"
 
 
 def test_dlog_rejects_non_units_and_unbounded_input():

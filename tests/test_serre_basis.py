@@ -1,6 +1,5 @@
 """Basis labels, the window set W', and the label subset J_V^AH."""
 
-import dataclasses
 from itertools import product
 
 import pytest
@@ -34,6 +33,7 @@ from serreweights import (
 import oracles
 import serreweights.io_cli as io_cli
 from serreweights import serre_basis
+from serreweights.tame_chars import _Derived
 
 
 P3F2 = FieldParams(3, 1, 2)
@@ -308,11 +308,12 @@ def test_routes_raise_where_i_m_index_would_on_colliding_n_values(monkeypatch):
         BasisLabel.alpha(5, 0), BasisLabel.alpha(7, 0)
     }
     real = serre_basis._derived
-    monkeypatch.setattr(
-        serre_basis,
-        "_derived",
-        lambda params, sig: dataclasses.replace(real(params, sig), distinct=False),
-    )
+
+    def colliding(params, sig):
+        d = real(params, sig)
+        return _Derived(d.n, d.niveau, d.index_of, False, d.counts, d.w_prime)
+
+    monkeypatch.setattr(serre_basis, "_derived", colliding)
     message = "n_0..n_1 are not distinct mod 8"
     with pytest.raises(InternalInvariantViolation, match=message):
         i_m_index(params, chi, 5)
