@@ -50,6 +50,11 @@ class JumpProfile(_JumpProfileFields):
         return tuple.__new__(cls, (entries, total))
 
 
+def _top_level(params: FieldParams) -> Fraction:
+    """The top boundary 1 + ep/(p-1) of the filtration."""
+    return 1 + Fraction(params.e * params.p, params.p - 1)
+
+
 def h1_dimension(params: FieldParams, chi: CharacterData) -> int:
     """Total dimension: ef plus one for each of the two degenerate cases."""
     extra = int(chi.declared_trivial) + int(chi.declared_cyclotomic)
@@ -67,7 +72,7 @@ def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
         raise InvalidInput(f"filtration level must be >= 0, got {s}")
     if s == 0:
         return int(chi.declared_trivial)
-    top = 1 + Fraction(params.e * params.p, params.p - 1)
+    top = _top_level(params)
     if s == top:
         return int(chi.declared_cyclotomic)
     if not 1 < s < top:
@@ -86,14 +91,14 @@ def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
     for m, d in _matching_numerators(params, chi.signature, 0, params.window_top):
         entries.append((1 + Fraction(m, params.tame_order), d))
     if chi.declared_cyclotomic:
-        entries.append((1 + Fraction(params.e * params.p, params.p - 1), 1))
+        entries.append((_top_level(params), 1))
     profile = JumpProfile(tuple(entries), sum(d for _, d in entries))
     expected = h1_dimension(params, chi)
     if profile.total != expected:
         raise InternalInvariantViolation(
             f"jump dimensions sum to {profile.total}, expected {expected}"
         )
-    top = 1 + Fraction(params.e * params.p, params.p - 1)
+    top = _top_level(params)
     _, f_dprime = niveau(params, chi.signature)
     for s, d in profile.entries:
         if 0 < s < top and d != f_dprime:

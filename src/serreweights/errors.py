@@ -9,9 +9,8 @@ and they should be reported, never silenced.
 
 ``ResourceLimitExceeded`` is a third outcome: the question is valid, but
 answering it needs more than a named resource limit allows (the bound
-below which the primality test of p is exact, the field degree cap, the
-oracle's component bound and the cap f <= 20 of the shift search); the
-CLI maps it to exit code 3.
+below which the primality test of p is exact, the field degree cap and
+the oracle's component bound); the CLI maps it to exit code 3.
 
 ``NoValidShift`` is none of these: it signals the legitimate empty outcome
 where no digit-shift subset realizes the required inertial class, so the

@@ -17,8 +17,7 @@ Exit codes: 0 for success, including the legitimate empty outcome when no
 shift subset exists; 1 when a mathematical invariant or an oracle
 comparison fails; 2 for invalid input; 3 when a valid request exceeds a
 resource limit (the bound below which the primality test of p is exact,
-the field degree cap, the oracle's component bound, or the shift
-search's cap f <= 20).
+the field degree cap, or the oracle's component bound).
 
 ``argparse``, ``json``, ``csv`` and ``multiprocessing`` are imported where
 used, so importing the library loads none of them.
@@ -34,7 +33,7 @@ from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cohomology import h1_dimension, jump_profile, window_cardinality
+from .cohomology import _top_level, h1_dimension, jump_profile, window_cardinality
 from .errors import (
     InternalInvariantViolation,
     InvalidInput,
@@ -683,12 +682,12 @@ def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
 
 
 def _character_checks(params: FieldParams, chi: CharacterData) -> Iterator[str]:
-    p, e, f = params.p, params.e, params.f
+    e, f = params.e, params.f
     profile = jump_profile(params, chi)
     h1 = h1_dimension(params, chi)
     if profile.total != h1:
         yield "dimension_sum"
-    top = 1 + Fraction(e * p, p - 1)
+    top = _top_level(params)
     f_prime, f_dprime = niveau(params, chi.signature)
     if any(0 < s < top and d != f_dprime for s, d in profile.entries):
         yield "jump_size"

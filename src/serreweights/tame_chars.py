@@ -175,16 +175,17 @@ def _signature_from_class(params: FieldParams, n_class: int) -> TameSignature:
 
 @lru_cache(maxsize=256)
 def _signature_at_offset(p: int, f: int, rem: int) -> TameSignature:
-    digits = []
-    for _ in range(f):
-        rem, d = divmod(rem, p)
-        digits.append(d + 1)
-    if rem:
-        raise AssertionError("window representative outside digit range")
+    return TameSignature(tuple(d + 1 for d in _slot_digits(p, f, rem)))
+
+
+def _slot_digits(p: int, f: int, rem: int) -> List[int]:
+    """The f base-p digits of rem in [0, p^f), digit j in slot (f - j) mod f."""
     a = [0] * f
-    for j, d in enumerate(digits):
-        a[(f - j) % f] = d
-    return TameSignature(tuple(a))
+    for j in range(f):
+        rem, a[(f - j) % f] = divmod(rem, p)
+    if rem:
+        raise AssertionError(f"{rem} has more than f = {f} base-{p} digits")
+    return a
 
 
 def canonical_signature(params: FieldParams, exps: Tuple[int, ...]) -> TameSignature:

@@ -21,8 +21,7 @@ the characters are consistent with the profile.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import FrozenSet, NamedTuple, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from .errors import (
     ChiMismatch,
@@ -31,12 +30,12 @@ from .errors import (
     InvariantError,
     MinimalityAmbiguous,
     NoValidShift,
-    ResourceLimitExceeded,
 )
 from .tame_chars import (
     CharacterData,
     FieldParams,
     _signature_from_class,
+    _slot_digits,
     character,
     exponent_class,
     n_values,
@@ -128,13 +127,8 @@ def reduced_exponents(params: FieldParams, chi2: CharacterData) -> Tuple[int, ..
     This is the unique such tuple in the class of chi2's signature; it is
     the m-tuple that the shift machinery starts from.
     """
-    p, f = params.p, params.f
-    rem = signature_class(params, chi2.signature)  # in [0, p^f - 2]
-    m = [0] * f
-    for j in range(f):
-        rem, d = divmod(rem, p)
-        m[(f - j) % f] = d
-    return tuple(m)
+    cls = signature_class(params, chi2.signature)  # in [0, p^f - 2]
+    return tuple(_slot_digits(params.p, params.f, cls))
 
 
 def shift_vector(params: FieldParams, i: int) -> Tuple[int, ...]:
@@ -171,8 +165,8 @@ def minimal_shift_set(
     """The containment-least subset J with m + sum_{i in J} v_i admissible.
 
     Adding v_i subtracts 1 in slot i and adds p in slot i+1, and never moves
-    the inertial class, so each of the 2^f subsets is tested entrywise
-    against [0, e-1] union [r_i, r_i+e-1] with no class computation.
+    the inertial class, so a subset is tested entrywise against
+    [0, e-1] union [r_i, r_i+e-1] with no class computation.
 
     Raises NoValidShift when no subset works and MinimalityAmbiguous when no
     single valid subset is contained in all others.
@@ -183,84 +177,59 @@ def minimal_shift_set(
     return frozenset(i for i in range(params.f) if least >> i & 1)
 
 
-# The shift search holds the 2^f subsets as the bits of one int, 2^f bits
-# wide; at this many slots that int is 128 KB.
-_MAX_SHIFT_SLOTS = 20
-
-
-# For each slot i: (bit i, bit i-1, the set of masks with those two bits).
-_SlotChoices = Tuple[Tuple[int, int, int], ...]
-
-
-@lru_cache(maxsize=4)
-def _shift_tables(f: int) -> Tuple[Tuple[int, ...], Tuple[_SlotChoices, ...]]:
-    """Sets of masks as 2^f-bit ints: bit J of a set is the mask J.
-
-    Returns, for each slot i, the set of masks with bit i, and the four
-    choices of (bit i, bit i-1) with the set of masks that make each.
-    """
-    if f > _MAX_SHIFT_SLOTS:
-        raise ResourceLimitExceeded(
-            f"the shift search tests the 2^f subsets as one 2^f-bit integer; "
-            f"f = {f} is above the bound f <= {_MAX_SHIFT_SLOTS}"
-        )
-    full = (1 << (1 << f)) - 1
-    with_bit = []
-    for i in range(f):
-        run = 1 << i  # masks with bit i set come in runs of 2^i
-        bits, period = ((1 << run) - 1) << run, 2 * run
-        while period < 1 << f:
-            bits |= bits << period
-            period *= 2
-        with_bit.append(bits)
-    choices = []
-    for i in range(f):
-        own, prev = with_bit[i], with_bit[i - 1]
-        choices.append(tuple(
-            (b, a, (own if b else full ^ own) & (prev if a else full ^ prev))
-            for b in (0, 1)
-            for a in (0, 1)
-        ))
-    return tuple(with_bit), tuple(choices)
-
-
 def _least_shift(
     params: FieldParams, weight_r: Tuple[int, ...], chi2_exps: Tuple[int, ...]
 ) -> int:
     """``minimal_shift_set`` on checked inputs, as a mask: bit i is v_i.
 
-    The valid masks are found all at once, as the set bits of a 2^f-bit
-    int.  Slot i of m + sum_{i in J} v_i is m_i - [i in J] + p [i-1 in J],
-    so it depends on J through two bits; ``_admissible`` tests each of the
-    four choices once, the masks of the accepted ones are OR-ed, and the
-    slots are AND-ed.  That is 4f predicate calls, not one per (mask, slot).
+    Slot i of m + sum_{i in J} v_i is m_i - [i in J] + p [i-1 in J], so it
+    reads only bits i-1 and i of J, and a valid mask is a closed walk of f
+    steps over the bit values {0, 1}.  ``step[i]`` maps the set of values
+    bit i-1 may take (bit a of the index is value a) to the set bit i may
+    then take.  The least mask, if any, is the intersection of the valid
+    ones: bit i is in it when no closed walk through bit i = 0 exists.
     """
     p, e, f = params.p, params.e, params.f
-    with_bit, choices = _shift_tables(f)
-    valid = -1
-    for c, ri, slot in zip(chi2_exps, weight_r, choices):
-        accepted = 0
-        for b, a, masks in slot:
-            if _admissible(e, ri, c - b + p * a):
-                accepted |= masks
-        valid &= accepted
-    if not valid:
-        raise NoValidShift(
-            f"no shift subset reaches the admissible set for r={weight_r}"
-        )
-    # A least subset, if any, is the intersection of all valid ones: bit i
-    # is in it when no valid mask leaves bit i clear.
-    least = sum(1 << i for i in range(f) if not valid & ~with_bit[i])
-    if not valid >> least & 1:
-        subsets = sorted(
-            sorted(i for i in range(f) if mask >> i & 1)
-            for mask in range(1 << f)
-            if valid >> mask & 1
-        )
-        raise MinimalityAmbiguous(
-            f"valid shift subsets {subsets} have no least element"
-        )
-    return least
+    step = []
+    for c, ri in zip(chi2_exps, weight_r):
+        after0 = _admissible(e, ri, c) | _admissible(e, ri, c - 1) << 1
+        after1 = _admissible(e, ri, c + p) | _admissible(e, ri, c - 1 + p) << 1
+        if not after0 | after1:
+            break  # this slot admits no pair of bits, so no mask is valid
+        step.append((0, after0, after1, after0 | after1))
+    else:
+        least = 0
+        for i in range(f):
+            values = 1
+            for k in range(i + 1 - f, i + 1):
+                values = step[k][values]
+            if not values & 1:
+                least |= 1 << i
+        if _walks(step, least):
+            return least
+        if least != (1 << f) - 1:  # a walk clears some bit: a mask is valid
+            subsets = sorted(
+                sorted(i for i in range(f) if mask >> i & 1)
+                for mask in range(1 << f)
+                if _walks(step, mask)
+            )
+            raise MinimalityAmbiguous(
+                f"valid shift subsets {subsets} have no least element"
+            )
+    raise NoValidShift(
+        f"no shift subset reaches the admissible set for r={weight_r}"
+    )
+
+
+def _walks(step: List[Tuple[int, ...]], mask: int) -> bool:
+    """Whether the mask's bits are a closed walk through ``step``."""
+    prev = mask >> (len(step) - 1) & 1
+    for i, row in enumerate(step):
+        bit = mask >> i & 1
+        if not row[1 << prev] >> bit & 1:
+            return False
+        prev = bit
+    return True
 
 
 # ---------------------------------------------------------------------------

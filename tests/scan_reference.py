@@ -2,8 +2,8 @@
 
 The package enumerates the progressions m = n_i (mod p^f - 1) directly,
 reads n-values, niveau and the residue-to-index map from one cached record
-per signature, finds the least shift subset with the 2^f masks held as the
-bits of one int, and lists the brute-force witnesses once per call.  The
+per signature, finds the least shift subset by walking around the f slots
+once per bit, and lists the brute-force witnesses once per call.  The
 versions here are the ones that came before: every m in (0, e*p*R) is
 tested, n-values and niveau are recomputed from the digit signature on
 every call, shifted tuples are looked up in the candidate product of

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -203,17 +204,44 @@ def test_field_degree_past_the_cap_exits_3(capsys):
     )
 
 
-def test_shift_search_past_twenty_slots_exits_3(capsys):
-    """The shift search holds its 2^f subsets as one int; past f = 20 the
-    request is a resource limit, raised before that int is built."""
-    ones, zeros = ",".join(["1"] * 21), ",".join(["0"] * 21)
-    argv = ["profile", "--p", "2", "--e", "1", "--f", "21",
-            f"--r={ones}", f"--chi1-exps={zeros}", f"--chi2-exps={zeros}"]
-    assert run_command(argv) == 3
-    assert capsys.readouterr().err == (
-        "resource limit: the shift search tests the 2^f subsets as one 2^f-bit "
-        "integer; f = 21 is above the bound f <= 20\n"
-    )
+def _readme_resource_limit_examples():
+    """Each README command followed by a ``# resource limit:`` line, as
+    (argv, the comment's stderr text, whether it was cut at "...")."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    examples, command = [], None
+    for line in lines:
+        if command is not None and command.endswith("\\"):
+            command = command[:-1] + line
+        elif line.startswith("serreweights "):
+            command = line
+        elif command is not None and line.startswith("# resource limit:"):
+            text, cut, _ = line[2:].removesuffix("  (exit code 3)").partition("...")
+            examples.append((shlex.split(command)[1:], text, bool(cut)))
+            command = None
+        else:
+            command = None
+    return examples
+
+
+def test_readme_resource_limit_examples_exit_3(capsys):
+    examples = _readme_resource_limit_examples()
+    assert len(examples) == 3
+    for argv, text, cut in examples:
+        assert run_command(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(text) if cut else err == text + "\n"
+
+
+@pytest.mark.parametrize("f", [21, 64])
+def test_pair_commands_answer_at_many_slots(capsys, f):
+    """The shift search has no cap on f: profile, lv and oracle answer."""
+    ones, zeros = ",".join(["1"] * f), ",".join(["0"] * f)
+    flags = ["--p", "2", "--e", "1", "--f", str(f),
+             f"--r={ones}", f"--chi1-exps={zeros}", f"--chi2-exps={zeros}"]
+    for command in ("profile", "lv", "oracle"):
+        code, doc = run_json(capsys, [command, *flags])
+        assert code == 0, command
+    assert doc["agree"] is True
 
 
 def test_dims_never_builds_w_prime(capsys, monkeypatch):

@@ -5,10 +5,10 @@ f = 4, goes through the progression enumeration (``jump_profile``,
 ``window_cardinality``, ``w_prime``), the cached record (``i_m_index``,
 ``graded_dimension``) and the mask test of ``minimal_shift_set``; each
 answer, error included, must equal the scan oracle's in
-``tests/scan_reference.py``.  The bitset shift search must also equal the
-per-mask scan it replaced, on every (r, m) of p <= 5, e <= 3, f <= 3 and of
-p = 2 at f = 4.  So must the least field of an unramified
-value, over every degree L <= 12 at p <= 7.
+``tests/scan_reference.py``.  The shift search must also equal the
+per-mask scan, on every (r, m) of p <= 5, e <= 3, f <= 3 and of p = 2 at
+f = 4, and on random (r, m) at 5 <= f <= 12.  So must the least field of an
+unramified value, over every degree L <= 12 at p <= 7.
 """
 
 from collections import Counter
@@ -17,6 +17,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import scan_reference as scan
 from serreweights import (
@@ -24,7 +25,6 @@ from serreweights import (
     InvalidInput,
     MinimalityAmbiguous,
     NoValidShift,
-    ResourceLimitExceeded,
     SerreWeightsError,
     TameSignature,
     UnramifiedPart,
@@ -184,13 +184,42 @@ def test_least_shift_matches_the_per_mask_scan(narrowed, kinds, monkeypatch):
     assert seen == kinds
 
 
-def test_shift_search_past_twenty_slots_is_a_resource_limit():
-    """The 2^f subsets are one 2^f-bit int, so f is capped before any is
-    built; up to the cap the search answers."""
-    params = FieldParams(2, 1, 21)
-    with pytest.raises(ResourceLimitExceeded, match="f = 21 is above the bound f <= 20"):
-        minimal_shift_set(params, (1,) * 21, (0,) * 21)
-    assert minimal_shift_set(FieldParams(2, 1, 20), (1,) * 20, (0,) * 20) == frozenset()
+@pytest.mark.parametrize("f", [20, 21, 64])
+def test_shift_search_answers_at_many_slots(f):
+    """The walk costs O(f^2) steps, so f needs no cap."""
+    assert minimal_shift_set(FieldParams(2, 1, f), (1,) * f, (0,) * f) == frozenset()
+
+
+@st.composite
+def _shift_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    f = draw(st.integers(min_value=5, max_value=12))
+    # Entries from at most two values each, so that runs of equal slots,
+    # which have many valid masks, come up often.
+    tuples = [
+        st.lists(st.integers(lo, hi), min_size=1, max_size=2).flatmap(
+            lambda values: st.lists(st.sampled_from(values), min_size=f, max_size=f)
+        )
+        for lo, hi in ((1, p), (0, p - 1))
+    ]
+    r, m = (tuple(draw(values)) for values in tuples)
+    e = draw(st.integers(min_value=1, max_value=3))
+    return FieldParams(p, e, f), r, m
+
+
+@pytest.mark.parametrize("narrowed", [False, True], ids=["definition", "narrowed"])
+@settings(max_examples=300)
+@given(_shift_inputs())
+def test_least_shift_matches_the_per_mask_scan_past_four_slots(narrowed, case):
+    """The exhaustive grid above stops at f = 4; here random (r, m) at
+    5 <= f <= 12 give the same least mask, or the same error and message."""
+    params, r, m = case
+    assume(any(c < params.p - 1 for c in m))
+    with pytest.MonkeyPatch.context() as patch:
+        if narrowed:
+            patch.setattr(weight_lattice, "_admissible", lambda e, ri, x: x in (0, 4))
+        expected = outcome(scan.least_shift_scan, params, r, m)
+        assert outcome(weight_lattice._least_shift, params, r, m) == expected
 
 
 def test_minimal_shift_set_ambiguity_matches_scan(monkeypatch):
