@@ -29,7 +29,6 @@ import io
 import os
 import sys
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -519,26 +518,57 @@ def _grid_cells(p_max: int, e_max: int, f_max: int) -> List[Tuple[int, int, int]
     ]
 
 
+def _cell_size(cell: Tuple[int, int, int]) -> int:
+    """The cell's grid points: p^f - 1 classes of chi2 times p^f tuples r."""
+    p, _, f = cell
+    return (p**f - 1) * p**f
+
+
 def _cell_instances(cell: Tuple[int, int, int]) -> List[GridSpec]:
+    return [_cell_spec(cell, index) for index in range(_cell_size(cell))]
+
+
+def _cell_spec(cell: Tuple[int, int, int], index: int) -> GridSpec:
+    """The index-th grid point of a cell: the chi2 class, then r with the
+    base-p digits of the rest, most significant first, each plus 1."""
     p, e, f = cell
-    params = FieldParams(p, e, f)
-    return [
-        (p, e, f, chi2_class, r)
-        for chi2_class in range(params.tame_order)
-        for r in product(range(1, p + 1), repeat=f)
-    ]
+    chi2_class, rest = divmod(index, p**f)
+    r = [0] * f
+    for i in range(f - 1, -1, -1):
+        rest, digit = divmod(rest, p)
+        r[i] = digit + 1
+    return (p, e, f, chi2_class, tuple(r))
 
 
 def _grid(args) -> Tuple[List[Tuple[int, int, int]], List[GridSpec]]:
     """The cells of --p-max/--e-max/--f-max and their grid points, of which
-    every stride-th is kept beyond --max-instances (0: no limit)."""
-    if args.max_instances < 0:
-        raise InvalidInput(f"--max-instances must be >= 0, got {args.max_instances}")
+    every stride-th is kept beyond --max-instances (0: no limit).
+
+    The cell sizes give the stride before any point is built, and only the
+    kept points are built.  A bound that selects no cell, or
+    a --p-max past the grid's largest prime, is invalid input.
+    """
+    for flag, value, low in (
+        ("--max-instances", args.max_instances, 0),
+        ("--p-max", args.p_max, 2),
+        ("--e-max", args.e_max, 1),
+        ("--f-max", args.f_max, 1),
+    ):
+        if value < low:
+            raise InvalidInput(f"{flag} must be >= {low}, got {value}")
+    if args.p_max > _PRIMES[-1]:
+        raise InvalidInput(f"--p-max must be <= {_PRIMES[-1]}, got {args.p_max}")
     cells = _grid_cells(args.p_max, args.e_max, args.f_max)
-    specs = [spec for cell in cells for spec in _cell_instances(cell)]
-    if args.max_instances and len(specs) > args.max_instances:
-        stride = -(-len(specs) // args.max_instances)
-        specs = specs[::stride]
+    total = sum(map(_cell_size, cells))
+    stride = 1
+    if args.max_instances and total > args.max_instances:
+        stride = -(-total // args.max_instances)
+    specs = []
+    start = 0  # the index of the cell's first point in the whole grid
+    for cell in cells:
+        size = _cell_size(cell)
+        specs += [_cell_spec(cell, k) for k in range(-start % stride, size, stride)]
+        start += size
     return cells, specs
 
 

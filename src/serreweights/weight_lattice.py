@@ -21,6 +21,7 @@ the characters are consistent with the profile.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import FrozenSet, List, NamedTuple, Tuple
 
 from .errors import (
@@ -264,6 +265,24 @@ def ts_profile(
     that of chi2; otherwise ChiMismatch.  Only inertial classes are compared:
     the unramified parts do not enter, and no quotient character is built.
     """
+    return _ts_profile(params, tuple(weight_r), chi1, chi2)
+
+
+# The bound of the ``_ts_profile`` memo.  ``l_v_ah`` derives the profile
+# that the verify grid built for the same point just before it; 32 leaves
+# room for callers that interleave a few points.  One verify call asks for
+# thousands of distinct profiles, so none is left for the next call.
+_PROFILE_MEMO = 32
+
+
+@lru_cache(maxsize=_PROFILE_MEMO)
+def _ts_profile(
+    params: FieldParams,
+    weight_r: Tuple[int, ...],
+    chi1: CharacterData,
+    chi2: CharacterData,
+) -> WeightProfile:
+    """``ts_profile`` keyed by its four records; a raise is not cached."""
     _validate_r(params, weight_r)
     p, e, f = params.p, params.e, params.f
     m = reduced_exponents(params, chi2)  # in range by construction
@@ -302,4 +321,4 @@ def ts_profile(
             raise InternalInvariantViolation(
                 f"xi_{i} = {xi[i]} is not congruent to n_{i} = {n[i]} mod {q1}"
             )
-    return WeightProfile(tuple(weight_r), t, s, tuple(intervals), xi, j_min)
+    return WeightProfile(weight_r, t, s, tuple(intervals), xi, j_min)

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, schema, and determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -30,7 +31,7 @@ from serreweights import (
 )
 import serreweights
 import serreweights.io_cli as io_cli
-from serreweights import serre_basis
+from serreweights import serre_basis, tame_chars, weight_lattice
 
 
 def run_json(capsys, argv):
@@ -351,15 +352,24 @@ CLI_ONLY_MODULES = ("multiprocessing", "argparse", "csv", "json")
 UNUSED_MODULES = ("dataclasses", "inspect")
 
 
+# What ``import serreweights`` adds to a bare interpreter besides its own
+# modules; a new entry here is import time that every cold query pays.
+IMPORT_ADDS = ["__future__", "_decimal", "decimal", "fractions", "numbers"]
+
+
 def test_import_loads_no_multiprocessing():
     """Nor any other module that only the command line uses, nor one that
-    no module of the package uses."""
+    no module of the package uses; and exactly ``IMPORT_ADDS`` besides the
+    package's own modules."""
     done = run_python(
-        ["-c", "import sys, serreweights; print([m for m in "
-               f"{CLI_ONLY_MODULES + UNUSED_MODULES!r} if m in sys.modules])"]
+        ["-c", "import sys; before = set(sys.modules); import serreweights; "
+               "print([m for m in "
+               f"{CLI_ONLY_MODULES + UNUSED_MODULES!r} if m in sys.modules]); "
+               "print(sorted(m for m in set(sys.modules) - before "
+               "if m.split('.')[0] != 'serreweights'))"]
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", repr(IMPORT_ADDS)]
 
 
 def test_dims_at_large_p_enumerates_the_progressions():
@@ -1158,12 +1168,97 @@ def test_verify_counts_a_lossy_oracle_route(capsys, monkeypatch):
 VERIFY_GRID_SHA256 = "6963d61459afba843672e7e3cf177cecfde206e2da922d0387a228666535a643"
 
 
+# The memos in front of the record builders, and the package's other caches.
+MEMOS = (tame_chars._character, tame_chars._char_quotient, weight_lattice._ts_profile)
+OTHER_CACHES = (tame_chars._derived, tame_chars._signature_at_offset)
+
+
 def test_verify_grid_report_bytes_are_pinned(capsys):
-    """A speed-up of any verify route must leave this report byte-identical."""
-    code = run_command([
-        "verify", "--p-max", "5", "--e-max", "3", "--f-max", "3",
-        "--with-oracle", "--jobs", "1", "--max-instances", "10000",
-    ])
-    out = capsys.readouterr().out.encode()
+    """A speed-up of any verify route must leave this report byte-identical,
+    on a cold call (every cache cleared) and on a warm one after it.  Each
+    memo finds as much on the second call as on the first: nothing carries
+    over from one call to the next."""
+    for cache in MEMOS + OTHER_CACHES:
+        cache.cache_clear()
+    counts = []
+    for _ in range(2):
+        before = [memo.cache_info() for memo in MEMOS]
+        code = run_command([
+            "verify", "--p-max", "5", "--e-max", "3", "--f-max", "3",
+            "--with-oracle", "--jobs", "1", "--max-instances", "10000",
+        ])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (1995, VERIFY_GRID_SHA256)
+        counts.append([
+            (info.hits - old.hits, info.misses - old.misses)
+            for old, info in zip(before, (memo.cache_info() for memo in MEMOS))
+        ])
+    assert counts[0] == counts[1]
+    assert all(hits > 0 for hits, _ in counts[0])
+
+
+def test_patched_ts_profile_takes_effect_after_a_cached_call(monkeypatch):
+    """The memo sits behind the public name, so a seam rebound after a
+    cached call is still the one that answers."""
+    spec = (3, 2, 2, 4, (1, 2))
+    *_, profile = io_cli._grid_instance(spec)
+    assert io_cli._grid_instance(spec)[4] is profile  # served by the memo
+    real = io_cli.ts_profile
+
+    def corrupted(params, weight_r, chi1, chi2):
+        found = real(params, weight_r, chi1, chi2)
+        return found._replace(xi=(found.xi[0] + 1,) + found.xi[1:])
+
+    monkeypatch.setattr(io_cli, "ts_profile", corrupted)
+    assert io_cli._grid_instance(spec)[4].xi[0] == profile.xi[0] + 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p-max", "1"], "--p-max must be >= 2, got 1"),
+    (["--p-max", "20"], "--p-max must be <= 13, got 20"),
+    (["--p-max", "3", "--e-max", "0"], "--e-max must be >= 1, got 0"),
+    (["--p-max", "2", "--e-max", "1", "--f-max", "0"], "--f-max must be >= 1, got 0"),
+], ids=["p-low", "p-high", "e", "f"])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_grid_bound_outside_the_grid_exits_2(capsys, monkeypatch, command, flags, message):
+    """A bound that selects no cell, or primes the grid does not have, is
+    invalid input, raised before any cell is listed."""
+
+    def no_cells(*args):
+        raise AssertionError("a cell was listed")
+
+    monkeypatch.setattr(io_cli, "_grid_cells", no_cells)
+    assert run_command([command] + flags) == 2
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+
+
+def test_grid_runs_every_prime_up_to_13(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_command(["sweep", "--p-max", "13", "--e-max", "1", "--f-max", "1",
+                        "--out", str(out)])
     assert code == 0
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (1995, VERIFY_GRID_SHA256)
+    rows = out.read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[0]) for row in rows}) == [2, 3, 5, 7, 11, 13]
+    assert len(rows) == sum((p - 1) * p for p in (2, 3, 5, 7, 11, 13))
+
+
+@pytest.mark.parametrize("p_max, e_max, f_max, limit", [
+    (5, 3, 3, 10000), (3, 2, 2, 0), (2, 1, 1, 0), (3, 2, 3, 7),
+    (5, 2, 2, 1), (13, 1, 2, 500), (7, 2, 3, 333), (3, 1, 2, 0),
+])
+def test_grid_builds_only_the_kept_points(p_max, e_max, f_max, limit):
+    """The points ``_grid`` builds are every stride-th of the whole grid,
+    listed cell by cell, chi2 class by class, r in lexicographic order."""
+    args = argparse.Namespace(p_max=p_max, e_max=e_max, f_max=f_max, max_instances=limit)
+    cells = io_cli._grid_cells(p_max, e_max, f_max)
+    specs = [
+        (p, e, f, chi2_class, r)
+        for p, e, f in cells
+        for chi2_class in range(p**f - 1)
+        for r in product(range(1, p + 1), repeat=f)
+    ]
+    assert [spec for cell in cells for spec in io_cli._cell_instances(cell)] == specs
+    if limit and len(specs) > limit:
+        specs = specs[::-(-len(specs) // limit)]
+    assert io_cli._grid(args) == (cells, specs)

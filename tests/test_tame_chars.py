@@ -189,6 +189,35 @@ def test_p2_flag_forcing():
         character(P2F1, (0,), unram=UnramifiedPart(2, 1), cyclotomic=True)
 
 
+def test_character_memo_raises_on_every_call():
+    """The memo caches no raise: a malformed unramified part fails again,
+    with the same message, and leaves nothing in the memo."""
+    messages = []
+    for _ in range(2):
+        size = tame_chars._character.cache_info().currsize
+        with pytest.raises(InvariantError) as caught:
+            character(P3F1, (1,), unram=UnramifiedPart(0, 0))
+        messages.append(str(caught.value))
+        assert tame_chars._character.cache_info().currsize == size
+    assert messages[0] == messages[1]
+
+
+def test_character_memo_keys_a_list_as_its_tuple():
+    """Exponents given as a list share the key of the same tuple."""
+    before = tame_chars._character.cache_info()
+    assert character(P3F2, [5, 0]) is character(P3F2, (5, 0))
+    after = tame_chars._character.cache_info()
+    assert after.hits >= before.hits + 1
+
+
+def test_char_quotient_by_keyword_hits_the_positional_key():
+    chi1, chi2 = character(P3F2, (5, 0)), character(P3F2, (1, 0))
+    first = char_quotient(P3F2, chi1, chi2, None)
+    hits = tame_chars._char_quotient.cache_info().hits
+    assert char_quotient(P3F2, chi1, chi2, declare_cyclotomic=None) is first
+    assert tame_chars._char_quotient.cache_info().hits == hits + 1
+
+
 def test_is_unramified():
     assert is_unramified(P3F2, character(P3F2, (0, 0)))
     assert not is_unramified(P3F2, character(P3F2, (1, 0)))

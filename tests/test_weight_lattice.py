@@ -26,6 +26,8 @@ from serreweights import (
     weight_from_r,
 )
 
+from serreweights import weight_lattice
+
 import oracles
 from scan_reference import candidate_set
 
@@ -166,6 +168,23 @@ def test_ts_profile_fixture_f3():
 def test_ts_profile_chi_mismatch():
     with pytest.raises(ChiMismatch):
         ts_profile(P3F1E1, (2,), character(P3F1E1, (1,)), character(P3F1E1, (0,)))
+
+
+@pytest.mark.parametrize("r, chi1_exps, chi2_exps, error", [
+    ((2,), (1,), (1,), NoValidShift),  # m = (1,) and m + v_0 miss [0,0] u [2,2]
+    ((2,), (1,), (0,), ChiMismatch),
+], ids=["no-shift", "chi-mismatch"])
+def test_ts_profile_memo_raises_on_every_call(r, chi1_exps, chi2_exps, error):
+    """The memo caches no raise: the same call raises again, same message."""
+    chi1, chi2 = character(P3F1E1, chi1_exps), character(P3F1E1, chi2_exps)
+    messages = []
+    for _ in range(2):
+        size = weight_lattice._ts_profile.cache_info().currsize
+        with pytest.raises(error) as caught:
+            ts_profile(P3F1E1, r, chi1, chi2)
+        messages.append(str(caught.value))
+        assert weight_lattice._ts_profile.cache_info().currsize == size
+    assert messages[0] == messages[1]
 
 
 def _grid_instances(p, e, f):
