@@ -39,10 +39,10 @@ residue pairing a log/antilog pair would take about 19 MB, several times
 what the packed arithmetic needs in all.
 
 The degree is capped at ``_MAX_DEGREE``, a resource limit rather than a
-validity condition: a field factors p^r - 1 once, by trial division, for
-its modulus search and order checks, which is meant for the small fields
-the residue pairing needs, not for cryptographic sizes.  A larger degree
-raises ``ResourceLimitExceeded``.
+validity condition: a field factors p^r - 1 once, by trial division that
+stops at a prime cofactor, for its modulus search and order checks, which
+is meant for the small fields the residue pairing needs, not for
+cryptographic sizes.  A larger degree raises ``ResourceLimitExceeded``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .errors import InvalidInput, ResourceLimitExceeded
+from .tame_chars import is_prime
 
 Element = bytes
 
@@ -57,14 +58,22 @@ _MAX_DEGREE = 24
 
 
 def prime_factors(n: int) -> Tuple[int, ...]:
-    """Distinct prime factors of n >= 1 by trial division, ascending."""
+    """Distinct prime factors of n >= 1, ascending.
+
+    Trial division that stops once the cofactor left is prime: the cofactor
+    is tested by ``is_prime`` at the start and after each factor is divided
+    out.  A prime cofactor at or above the bound where that test is exact
+    raises ResourceLimitExceeded.
+    """
     factors = []
     d = 2
-    while d * d <= n:
+    prime = is_prime(n)
+    while not prime and d * d <= n:
         if n % d == 0:
             factors.append(d)
             while n % d == 0:
                 n //= d
+            prime = is_prime(n)
         d += 1
     if n > 1:
         factors.append(n)

@@ -30,7 +30,9 @@ import os
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+)
 
 from .cohomology import _top_level, h1_dimension, jump_profile, window_cardinality
 from .errors import (
@@ -676,19 +678,23 @@ _PROPERTIES = (
 )
 
 
-def _checked(where: str, check, *args) -> List[Tuple[str, str]]:
-    """(property, where) for each property that ``check(*args)`` names, once.
+def _checked(where: Callable[[], str], check, *args) -> List[Tuple[str, str]]:
+    """(property, where()) for each property that ``check(*args)`` names, once.
 
-    A grid point with no shift subset has an empty subspace and nothing to
-    check; any other package error is an unexpected_error.
+    ``where`` formats the instance, and runs only when it fails.  A grid
+    point with no shift subset has an empty subspace and nothing to check;
+    any other package error is an unexpected_error.
     """
     try:
         names = dict.fromkeys(check(*args))
     except NoValidShift:
         return []
     except SerreWeightsError as exc:
-        return [("unexpected_error", f"{where}: {exc!r}")]
-    return [(name, where) for name in names]
+        return [("unexpected_error", f"{where()}: {exc!r}")]
+    if not names:
+        return []
+    text = where()
+    return [(name, text) for name in names]
 
 
 def _where(spec: GridSpec) -> str:
@@ -706,8 +712,10 @@ def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
         if p > 2 and chis[0].signature == cyclotomic_inertia_signature(params):
             chis.append(character(params, (cls,) + (0,) * (f - 1), cyclotomic=True))
         for chi in chis:
-            where = f"p={p} e={e} f={f} class={cls} cyc={chi.declared_cyclotomic}"
-            failures += _checked(where, _character_checks, params, chi)
+            failures += _checked(
+                lambda: f"p={p} e={e} f={f} class={cls} cyc={chi.declared_cyclotomic}",
+                _character_checks, params, chi,
+            )
     return failures
 
 
@@ -730,7 +738,7 @@ def _character_checks(params: FieldParams, chi: CharacterData) -> Iterator[str]:
 
 
 def _verify_pair_instance(spec: GridSpec) -> List[Tuple[str, str]]:
-    return _checked(_where(spec), _pair_checks, spec)
+    return _checked(lambda: _where(spec), _pair_checks, spec)
 
 
 def _pair_checks(spec: GridSpec) -> Iterator[str]:
@@ -753,16 +761,25 @@ def _pair_checks(spec: GridSpec) -> Iterator[str]:
             yield "profile_membership"
         if (profile.xi[i] - n[i]) % q1:
             yield "xi_congruence"
-    m = reduced_exponents(params, chi2)
-    for mask in range(1 << f):
-        shifted = list(m)
-        for i in range(f):
-            if mask >> i & 1:
+    # Every subset J of the shift vectors, in Gray-code order: each step
+    # adds or removes one v_i in place, so the walk holds O(f) values.
+    shifted = list(reduced_exponents(params, chi2))
+    subset = set()
+    for k in range(1 << f):
+        if k:
+            i = (k & -k).bit_length() - 1  # the bit that flips at step k
+            if i in subset:
+                subset.remove(i)
+                shifted[i] += 1
+                shifted[(i + 1) % f] -= p
+            else:
+                subset.add(i)
                 shifted[i] -= 1
                 shifted[(i + 1) % f] += p
-        if all(_admissible(e, ri, x) for ri, x in zip(r, shifted)):
-            if not profile.j_min <= {i for i in range(f) if mask >> i & 1}:
-                yield "j_min_least"
+        if not profile.j_min <= subset and all(
+            _admissible(e, ri, x) for ri, x in zip(r, shifted)
+        ):
+            yield "j_min_least"
     constructive = j_v_ah(params, profile, chi)
     bruteforce = j_v_ah_bruteforce(params, profile, chi)
     if bruteforce != constructive:
@@ -791,7 +808,9 @@ def _pair_checks(spec: GridSpec) -> Iterator[str]:
 
 def _verify_twist_instance(job: Tuple[GridSpec, Tuple[int, ...]]) -> List[Tuple[str, str]]:
     spec, theta = job
-    return _checked(f"{_where(spec)} theta={theta}", _twist_checks, spec, theta)
+    return _checked(
+        lambda: f"{_where(spec)} theta={theta}", _twist_checks, spec, theta
+    )
 
 
 def _twist_checks(spec: GridSpec, theta: Tuple[int, ...]) -> Iterator[str]:
@@ -834,17 +853,22 @@ def _verify_oracle_instance(
     per part would have raised it each time.
     """
     spec, mus = job
-    wheres = [f"{_where(spec)} mu={mu.order_field_degree}:{mu.dlog}" for mu in mus]
+
+    def where(mu: UnramifiedPart) -> str:
+        return f"{_where(spec)} mu={mu.order_field_degree}:{mu.dlog}"
+
     try:
         params, chi1, chi2 = _grid_pair(spec)
         profile = ts_profile(params, spec[4], chi1, chi2)
     except NoValidShift:
         return []
     except SerreWeightsError as exc:
-        return [("unexpected_error", f"{where}: {exc!r}") for where in wheres]
+        return [("unexpected_error", f"{where(mu)}: {exc!r}") for mu in mus]
     failures = []
-    for mu, where in zip(mus, wheres):
-        failures += _checked(where, _oracle_checks, params, chi1, chi2, profile, mu)
+    for mu in mus:
+        failures += _checked(
+            lambda: where(mu), _oracle_checks, params, chi1, chi2, profile, mu
+        )
     return failures
 
 

@@ -36,7 +36,6 @@ from .tame_chars import (
     exponent_class,
     is_unramified,
     n_values,
-    niveau,
     signature_class,
 )
 from .weight_lattice import SerreWeight, WeightProfile, ts_profile, twist_normalize
@@ -103,17 +102,26 @@ def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
 
 
 def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, ...]:
-    """The full ordered basis of H^1: alphas, then the special classes."""
-    _, f_dprime = niveau(params, chi.signature)
-    labels = [
-        BasisLabel.alpha(m, k) for m in w_prime(params, chi) for k in range(f_dprime)
-    ]
-    labels.sort(key=BasisLabel.sort_key)
+    """The full ordered basis of H^1: alphas, then the special classes.
+
+    The alphas depend on the signature alone, so like W' they are built on
+    the first call for it and kept on its cached record; the special
+    classes come from chi's declarations on every call.
+    """
+    derived = _derived(params, chi.signature)
+    if derived.alphas is None:
+        f_dprime = derived.niveau[1]
+        derived.alphas = tuple(  # W' ascends, so this is sort_key order
+            BasisLabel.alpha(m, k)
+            for m in w_prime(params, chi)
+            for k in range(f_dprime)
+        )
+    labels = derived.alphas
     if chi.declared_trivial:
-        labels.append(BasisLabel.unramified())
+        labels += (BasisLabel.unramified(),)
     if chi.declared_cyclotomic:
-        labels.append(BasisLabel.tres_ramifiee())
-    return tuple(labels)
+        labels += (BasisLabel.tres_ramifiee(),)
+    return labels
 
 
 def i_m_index(params: FieldParams, chi: CharacterData, m: int) -> int:
@@ -144,6 +152,8 @@ def validate_e_m(params: FieldParams, chi: CharacterData, e_m: int) -> None:
     q1 = params.tame_order
     if e_m < 1 or q1 % e_m:
         raise InvalidEM(f"e_M = {e_m} does not divide p^f - 1 = {q1}")
+    if e_m == q1:
+        return  # cofactor 1 divides every n_i
     cofactor = q1 // e_m
     for ni in n_values(params, chi.signature):
         if ni % cofactor:
@@ -249,9 +259,10 @@ def j_v_ah_bruteforce(
     xi_scaled = tuple(xi * e_m // q1 for xi in profile.xi)
     j_bounds = []
     for xi in profile.xi:
-        b = 0
-        while p ** (b + 1) <= max(1, xi):
+        b, power = 0, p  # power = p^(b + 1)
+        while power <= xi:
             b += 1
+            power *= p
         j_bounds.append(b)
     witnesses = [
         (p**j, xi_scaled[i] - d * e_m, (i - j) % f)
@@ -260,8 +271,13 @@ def j_v_ah_bruteforce(
         for j in range(j_bounds[i] + 1)
     ]
     labels = set()
+    # The record's table, read directly once its residues are known to be
+    # distinct; a miss goes through ``_index_in``, which raises as before.
+    index_of = derived.index_of if derived.distinct else {}
     for m in w_prime(params, chi):
-        im = _index_in(derived, q1, chi, m)
+        im = index_of.get(m % q1)
+        if im is None:
+            im = _index_in(derived, q1, chi, m)
         m_scaled = m // scale
         residues = {res for pj, value, res in witnesses if pj * m_scaled == value}
         for k in range(f_dprime):
@@ -324,7 +340,8 @@ def l_v_ah(
         labels = basis_labels(params, chi)
         return LVResult(labels, True, len(labels), e_m_used)
     profile = ts_profile(params, r, c1, c2)
-    labels = sorted(j_v_ah(params, profile, chi, e_m_used), key=BasisLabel.sort_key)
+    # Alphas in tuple order, which is their sort_key order.
+    labels = sorted(j_v_ah(params, profile, chi, e_m_used))
     extra_index: Optional[int] = None
     extra_degree: Optional[int] = None
     if chi.declared_trivial:

@@ -160,7 +160,7 @@ def exponent_class(params: FieldParams, exps: Tuple[int, ...]) -> int:
 
 def signature_class(params: FieldParams, sig: TameSignature) -> int:
     """Class modulo p^f - 1 of a digit signature (its 0-th twisted sum)."""
-    return n_values(params, sig)[0] % params.tame_order
+    return _derived(params, sig).n[0] % params.tame_order
 
 
 def _signature_from_class(params: FieldParams, n_class: int) -> TameSignature:
@@ -218,10 +218,12 @@ class _Derived:
     records that those f' residues are pairwise distinct.  ``counts`` maps
     each residue to the number of i in [0, f) with that residue.  ``w_prime``
     is the index set W' (``serre_basis.w_prime``): None until the first call
-    that reads it, which builds it and stores it here.
+    that reads it, which builds it and stores it here.  ``alphas`` is the
+    sorted tuple of alpha labels (m, k) over W' (``serre_basis.basis_labels``),
+    kept the same way.
     """
 
-    __slots__ = ("n", "niveau", "index_of", "distinct", "counts", "w_prime")
+    __slots__ = ("n", "niveau", "index_of", "distinct", "counts", "w_prime", "alphas")
 
     def __init__(self, n, niveau, index_of, distinct, counts, w_prime=None) -> None:
         self.n: Tuple[int, ...] = n
@@ -230,6 +232,7 @@ class _Derived:
         self.distinct: bool = distinct
         self.counts: Dict[int, int] = counts
         self.w_prime: Optional[Tuple[int, ...]] = w_prime
+        self.alphas: Optional[tuple] = None
 
 
 @lru_cache(maxsize=128)
@@ -238,9 +241,9 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
 
     The cache is keyed by the two records, tuples that hash in C.  It holds
     128 records, each of O(f) ints, plus e*f' ints for one whose W' was
-    asked for.  At 64 the p = 5, f = 3 cell of the verify grid, whose 124
-    signature classes recur once per chi2 class, evicted most records before
-    their next use.
+    asked for and e*f alpha labels for one whose basis was.  At 64 the
+    p = 5, f = 3 cell of the verify grid, whose 124 signature classes recur
+    once per chi2 class, evicted most records before their next use.
     """
     p, f, a = params.p, params.f, sig.a
     _check_digits(p, f, a)

@@ -304,14 +304,16 @@ def _ts_profile(
         else:
             intervals.append((ti,) + tuple(range(ri, si)))
     q1 = params.tame_order
-    xi = tuple(
-        q1 * s[i]
-        + sum((s[(i + 1 + j) % f] - t[(i + 1 + j) % f]) * p ** (f - 1 - j) for j in range(f))
-        for i in range(f)
-    )
+    diff = [si - ti for si, ti in zip(s, t)]
+    xi = []
+    for i in range(f):
+        tail = 0  # Horner: diff_{i+1} p^(f-1) + ... + diff_{i+f}, indices mod f
+        for j in range(i + 1, i + 1 + f):
+            tail = tail * p + diff[j % f]
+        xi.append(q1 * s[i] + tail)
     cls = (signature_class(params, chi1.signature)
            - signature_class(params, chi2.signature)) % q1
-    if exponent_class(params, tuple(si - ti for si, ti in zip(s, t))) != cls:
+    if exponent_class(params, tuple(diff)) != cls:
         raise ChiMismatch(
             "chi1/chi2 is not the character cut out by the shift profile"
         )
@@ -321,4 +323,4 @@ def _ts_profile(
             raise InternalInvariantViolation(
                 f"xi_{i} = {xi[i]} is not congruent to n_{i} = {n[i]} mod {q1}"
             )
-    return WeightProfile(weight_r, t, s, tuple(intervals), xi, j_min)
+    return WeightProfile(weight_r, t, s, tuple(intervals), tuple(xi), j_min)

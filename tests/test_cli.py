@@ -277,6 +277,18 @@ def test_oracle_answers_at_p_near_1e9(capsys):
     assert doc["agree"] is True and doc["status"] == "ok"
 
 
+def test_oracle_at_a_safe_prime_factors_p_minus_1_quickly(capsys):
+    """p - 1 = 2q with q prime: the field of F_p stops factoring once q is
+    left, where trial division ran to sqrt(q) ~ 7 * 10^7 for seconds."""
+    argv = ["oracle", "--p", "10000000000004447", "--e", "1", "--f", "1",
+            "--r=1", "--chi1-exps=1", "--chi2-exps=0"]
+    start = time.perf_counter()
+    code, doc = run_json(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert doc["agree"] is True and doc["status"] == "ok"
+
+
 def test_oracle_at_p13_agrees(capsys):
     """The (13, 1, 2) instance whose Moebius route used to take seconds."""
     code, doc = run_json(
@@ -935,6 +947,34 @@ def test_verify_counts_each_failing_instance_once(capsys, monkeypatch):
     assert counts["profile_reflection"] + raised == shifted
     assert all(count <= shifted - raised for count in counts.values())
     assert counts["profile_membership"] > 0  # some s_i + 1 leave the pool
+
+
+def test_verify_reports_a_j_min_that_is_not_least(capsys, monkeypatch):
+    """With J_min reported as all of [0, f), j_min_least fails at exactly
+    the points with a valid shift subset other than the full set, and no
+    other property moves."""
+    real = io_cli.ts_profile
+
+    def full(params, weight_r, chi1, chi2):
+        profile = real(params, weight_r, chi1, chi2)
+        return profile._replace(j_min=frozenset(range(params.f)))
+
+    monkeypatch.setattr(io_cli, "ts_profile", full)
+    code, doc = run_json(
+        capsys, ["verify", "--p-max", "3", "--e-max", "1", "--f-max", "2"]
+    )
+    assert code == 1
+    counts = {prop["name"]: prop["failures"] for prop in doc["properties"]}
+    expected = 0
+    for p, e, f in io_cli._grid_cells(3, 1, 2):
+        params = FieldParams(p, e, f)
+        for cls2 in range(params.tame_order):
+            m = reduced_exponents(params, character(params, (cls2,) + (0,) * (f - 1)))
+            for r in product(range(1, p + 1), repeat=f):
+                subsets = oracles.valid_shift_subsets(p, e, f, r, m)
+                expected += any(len(subset) < f for subset in subsets)
+    assert counts.pop("j_min_least") == expected > 0
+    assert all(count == 0 for count in counts.values())
 
 
 def test_a_label_dropped_from_j_v_ah_leaves_l_v_ah_and_lv(capsys, monkeypatch):

@@ -172,3 +172,29 @@ def test_each_field_factors_its_unit_order_once(monkeypatch, p, r):
     assert fq.element_order(fq.gen) == p**r - 1
     assert fq.element_order(x) == (p**r - 1) // gcd(p**r - 1, 2)
     assert calls == [p**r - 1]
+
+
+def test_prime_factors_matches_trial_division():
+    """Stopping at a prime cofactor finds what full trial division finds."""
+    rng = random.Random(1)
+    numbers = list(range(1, 5001)) + [rng.randrange(1, 10**12) for _ in range(16)]
+    for n in numbers:
+        assert prime_factors(n) == gf_reference.prime_factors(n), n
+
+
+def test_prime_factors_stops_at_a_prime_cofactor():
+    """A safe prime's p - 1 = 2q is factored by one division and a
+    primality test of q, not by trial division up to sqrt(q)."""
+    p = 10_000_000_000_004_447
+    assert prime_factors(p - 1) == (2, (p - 1) // 2)
+    assert prime_factors(2**61 - 1) == (2**61 - 1,)
+
+
+def test_prime_factors_of_an_undecided_cofactor_hits_the_limit():
+    """A cofactor at or above the bound where the primality test is exact,
+    and passing every base, is a resource limit (trial division used to
+    run on without end there)."""
+    mersenne = 2**89 - 1  # prime, above 3.3 * 10^24
+    for n in (mersenne, 6 * mersenne):
+        with pytest.raises(ResourceLimitExceeded):
+            prime_factors(n)

@@ -1,6 +1,6 @@
 """Basis labels, the window set W', and the label subset J_V^AH."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -286,8 +286,12 @@ def test_l_v_ah_validates_e_m():
         )
 
 
-@pytest.mark.parametrize("p,e,f", [(2, 2, 1), (3, 1, 2)])
+@pytest.mark.parametrize("p,e,f", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)])
 def test_l_v_ah_result_invariants(p, e, f):
+    """Labels in sort_key order; outside the exceptional case (the whole
+    basis) no tres ramifiee class, and the unramified class, last, exactly
+    for a trivial quotient."""
+    trivial = 0
     for params, r, chi1, chi2 in _instances(p, e, f):
         res = l_v_ah(params, weight_from_r(params, r), chi1, chi2)
         assert res.dimension == len(res.labels)
@@ -297,6 +301,10 @@ def test_l_v_ah_result_invariants(p, e, f):
             assert BasisLabel.tres_ramifiee() not in res.labels
             has_unram = BasisLabel.unramified() in res.labels
             assert has_unram == quot.declared_trivial
+            if has_unram:
+                assert res.labels[-1] == BasisLabel.unramified()
+                trivial += 1
+    assert trivial  # every cell listed has a trivial quotient
 
 
 def test_routes_raise_where_i_m_index_would_on_colliding_n_values(monkeypatch):
@@ -320,3 +328,51 @@ def test_routes_raise_where_i_m_index_would_on_colliding_n_values(monkeypatch):
     for route in (j_v_ah, j_v_ah_bruteforce):
         with pytest.raises(InternalInvariantViolation, match=message):
             route(params, profile, chi)
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5) for f in (1, 2, 3)])
+def test_validate_e_m_raises_exactly_off_the_valid_e_ms(p, f):
+    """Every e_M that does not divide p^f - 1, and every divisor whose
+    cofactor misses some n_i, raises InvalidEM; the rest pass, e_M = p^f - 1
+    (cofactor 1, checked without reading the n_i) among them."""
+    params = FieldParams(p, 1, f)
+    q1 = params.tame_order
+    for a in oracles.signature_space(p, f):
+        chi = character(params, a)
+        nvals = [oracles.n_value(p, f, a, i) for i in range(f)]
+        for e_m in range(-1, q1 + 3):
+            valid = (
+                e_m >= 1 and q1 % e_m == 0 and all(n % (q1 // e_m) == 0 for n in nvals)
+            )
+            if valid:
+                validate_e_m(params, chi, e_m)
+            else:
+                with pytest.raises(InvalidEM):
+                    validate_e_m(params, chi, e_m)
+
+
+def test_record_kept_alphas_do_not_carry_declarations():
+    """basis_labels keeps a signature's alphas on its cached record; the
+    special classes come from each character's declarations, whichever
+    character of the signature asked first."""
+    params = FieldParams(3, 2, 2)  # (p - 1) | e: the cyclotomic class is 0
+    plain = character(params, (0, 0), unram=UnramifiedPart(1, 1))
+    trivial = character(params, (0, 0))
+    cyclotomic = character(params, (0, 0), unram=UnramifiedPart(1, 1), cyclotomic=True)
+    both = character(params, (0, 0), cyclotomic=True)
+    assert len({chi.signature for chi in (plain, trivial, cyclotomic, both)}) == 1
+    alphas = tuple(
+        BasisLabel.alpha(m, k)
+        for m in oracles.w_prime_direct(3, 2, 2, plain.signature.a)
+        for k in range(niveau(params, plain.signature)[1])
+    )
+    expected = {
+        plain: alphas,
+        trivial: alphas + (BasisLabel.unramified(),),
+        cyclotomic: alphas + (BasisLabel.tres_ramifiee(),),
+        both: alphas + (BasisLabel.unramified(), BasisLabel.tres_ramifiee()),
+    }
+    for order in permutations(expected):
+        serre_basis._derived.cache_clear()
+        for chi in order + order:
+            assert basis_labels(params, chi) == expected[chi]
