@@ -17,7 +17,6 @@ from .cohomology import (
 )
 from .errors import (
     ChiMismatch,
-    IntegralityViolation,
     InternalInvariantViolation,
     InvalidEM,
     InvalidInput,
@@ -27,7 +26,6 @@ from .errors import (
     NonUnitConstantTerm,
     NoValidShift,
     ResourceLimitExceeded,
-    RouteMismatch,
     SchemaError,
     SerreWeightsError,
     TruncationInsufficient,
@@ -81,7 +79,6 @@ __all__ = [
     "CharacterData",
     "ChiMismatch",
     "FieldParams",
-    "IntegralityViolation",
     "InternalInvariantViolation",
     "InvalidEM",
     "InvalidInput",
@@ -94,7 +91,6 @@ __all__ = [
     "NoValidShift",
     "Problem",
     "ResourceLimitExceeded",
-    "RouteMismatch",
     "SchemaError",
     "SerreWeight",
     "SerreWeightsError",

@@ -26,8 +26,8 @@ slots at x^r and above by x^r = t(x), the packed negated modulus tail,
 until none are left.  ``add`` and ``sub`` are one integer addition plus
 the same reduction; ``scale`` by an integer in [0, p) is one
 integer product, at most (p-1)^2 per slot, plus the same reduction; and
-``inv`` is the extended Euclidean algorithm.  Degree 1 is plain integer
-arithmetic mod p in a single slot.
+``inv`` is the power a^(p^r - 2), since a^(p^r - 1) = 1 for a nonzero a.
+Degree 1 is plain integer arithmetic mod p in a single slot.
 
 The modulus search walks the candidates in the pinned order.  Two exact
 sieves on the coefficients, O(log p) each, drop candidates that cannot
@@ -47,7 +47,7 @@ cryptographic sizes.  A larger degree raises ``ResourceLimitExceeded``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .errors import InvalidInput, ResourceLimitExceeded
 from .tame_chars import is_prime
@@ -252,15 +252,9 @@ class FiniteField:
         return self._powmod(a, n, self._tail)
 
     def inv(self, a: Element) -> Element:
-        n = int.from_bytes(a, "little")
-        if not n:
+        if not any(a):
             raise ZeroDivisionError("inverting 0 in a finite field")
-        p = self.p
-        if n >> (8 * self.width) == 0:  # a constant: invert in F_p
-            return pow(n, -1, p).to_bytes(self._size, "little")
-        return self.element(
-            _poly_inverse(p, list(self.modulus) + [1], list(self.coefficients(a)))
-        )
+        return self.pow(a, self.order - 2)
 
     def element_order(self, a: Element) -> int:
         if a == self.zero:
@@ -270,42 +264,6 @@ class FiniteField:
             while n % ell == 0 and self.pow(a, n // ell) == self.one:
                 n //= ell
         return n
-
-
-# -- the extended Euclidean algorithm over F_p --------------------------------
-
-
-def _trim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_inverse(p: int, modulus: List[int], b: List[int]) -> List[int]:
-    """t with t b = 1 modulo an irreducible modulus, for b nonzero modulo it.
-
-    Polynomials are coefficient lists over F_p, lowest degree first, with
-    coefficients in [0, p); the lists passed in are consumed.
-    """
-    r0, r1 = _trim(modulus), _trim(b)
-    t0: List[int] = []
-    t1 = [1]
-    while r1:
-        # r0, t0 <- r0 - q r1, t0 - q t1 one quotient term at a time
-        lead = pow(r1[-1], -1, p)
-        t0 = t0 + [0] * max(0, len(r0) - len(r1) + len(t1) - len(t0))
-        while len(r0) >= len(r1):
-            c = r0[-1] * lead % p
-            shift = len(r0) - len(r1)
-            for i, y in enumerate(r1):
-                r0[i + shift] = (r0[i + shift] - c * y) % p
-            for i, y in enumerate(t1):
-                t0[i + shift] = (t0[i + shift] - c * y) % p
-            _trim(r0)
-        r0, r1 = r1, r0
-        t0, t1 = t1, _trim(t0)
-    lead = pow(r0[0], -1, p)  # r0 is the gcd, a nonzero constant
-    return [c * lead % p for c in t0]
 
 
 _FIELD_CACHE: Dict[Tuple[int, int], FiniteField] = {}

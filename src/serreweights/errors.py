@@ -70,11 +70,3 @@ class InternalInvariantViolation(SerreWeightsError):
 
 class MinimalityAmbiguous(InternalInvariantViolation):
     """No containment-least valid shift subset exists."""
-
-
-class RouteMismatch(InternalInvariantViolation):
-    """Two independent computation routes disagree."""
-
-
-class IntegralityViolation(InternalInvariantViolation):
-    """A coefficient expected to be p-integral has p in its denominator."""

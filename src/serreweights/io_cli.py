@@ -68,7 +68,6 @@ from .tame_chars import (
 )
 from .weight_lattice import (
     SerreWeight,
-    WeightProfile,
     _admissible,
     _least_shift,
     reduced_exponents,
@@ -842,46 +841,18 @@ _ORACLE_MUS = {
 
 
 def _verify_oracle_instance(
-    job: Tuple[GridSpec, Tuple[UnramifiedPart, ...]]
+    job: Tuple[GridSpec, UnramifiedPart]
 ) -> List[Tuple[str, str]]:
-    """The oracle instances of one grid point, one per unramified part of chi1.
-
-    chi2, the shift search and the profile read inertial data only, so they
-    are built once for the point; each part builds its own chi1 and
-    quotient.  Failures are still counted once per (point, part), and an
-    error of the shared steps is reported under every part, as a rebuild
-    per part would have raised it each time.
-    """
-    spec, mus = job
-
-    def where(mu: UnramifiedPart) -> str:
-        return f"{_where(spec)} mu={mu.order_field_degree}:{mu.dlog}"
-
-    try:
-        params, chi1, chi2 = _grid_pair(spec)
-        profile = ts_profile(params, spec[4], chi1, chi2)
-    except NoValidShift:
-        return []
-    except SerreWeightsError as exc:
-        return [("unexpected_error", f"{where(mu)}: {exc!r}") for mu in mus]
-    failures = []
-    for mu in mus:
-        failures += _checked(
-            lambda: where(mu), _oracle_checks, params, chi1, chi2, profile, mu
-        )
-    return failures
+    spec, mu = job
+    return _checked(
+        lambda: f"{_where(spec)} mu={mu.order_field_degree}:{mu.dlog}",
+        _oracle_checks, spec, mu,
+    )
 
 
-def _oracle_checks(
-    params: FieldParams,
-    chi1: CharacterData,
-    chi2: CharacterData,
-    profile: WeightProfile,
-    mu: UnramifiedPart,
-) -> Iterator[str]:
+def _oracle_checks(spec: GridSpec, mu: UnramifiedPart) -> Iterator[str]:
     """The oracle against the constructive route, chi1 carrying ``mu``."""
-    chi1 = character(params, chi1.signature.a, unram=mu)
-    chi = char_quotient(params, chi1, chi2)
+    params, _, _, chi, profile = _grid_instance(spec, mu)
     if rederive_jvah(params, profile, chi) != j_v_ah(params, profile, chi):
         yield "oracle_agreement"
 
@@ -899,7 +870,7 @@ def cmd_verify(args) -> Tuple[dict, int]:
     if args.with_oracle:
         for cell in _grid_cells(min(args.p_max, 3), min(args.e_max, 2), min(args.f_max, 2)):
             for spec in _cell_instances(cell):
-                oracle_jobs.append((spec, _ORACLE_MUS[cell[0]]))
+                oracle_jobs += [(spec, mu) for mu in _ORACLE_MUS[cell[0]]]
     names = [n for n in _PROPERTIES if args.with_oracle or n != "oracle_agreement"]
     by_name = {name: [] for name in names}
     for found in _mapped(
@@ -922,7 +893,7 @@ def cmd_verify(args) -> Tuple[dict, int]:
         },
         "pair_instances": len(specs),
         "twist_instances": len(twist_jobs),
-        "oracle_instances": sum(len(mus) for _, mus in oracle_jobs),
+        "oracle_instances": len(oracle_jobs),
         "properties": [
             {
                 "name": name,

@@ -123,12 +123,6 @@ class TameSignature(NamedTuple):
 
     a: Tuple[int, ...]
 
-    def rotate(self, steps: int = 1) -> "TameSignature":
-        """Frobenius action: (a_0, ..., a_{f-1}) -> (a_1, ..., a_{f-1}, a_0)."""
-        f = len(self.a)
-        steps %= f
-        return TameSignature(self.a[steps:] + self.a[:steps])
-
 
 def validate_signature(params: FieldParams, sig: TameSignature) -> None:
     _check_digits(params.p, params.f, sig.a)

@@ -35,6 +35,7 @@ from .errors import (
 from .tame_chars import (
     CharacterData,
     FieldParams,
+    TameSignature,
     _signature_from_class,
     _slot_digits,
     character,
@@ -265,13 +266,15 @@ def ts_profile(
     that of chi2; otherwise ChiMismatch.  Only inertial classes are compared:
     the unramified parts do not enter, and no quotient character is built.
     """
-    return _ts_profile(params, tuple(weight_r), chi1, chi2)
+    return _ts_profile(params, tuple(weight_r), chi1.signature, chi2.signature)
 
 
 # The bound of the ``_ts_profile`` memo.  ``l_v_ah`` derives the profile
 # that the verify grid built for the same point just before it; 32 leaves
-# room for callers that interleave a few points.  One verify call asks for
-# thousands of distinct profiles, so none is left for the next call.
+# room for callers that interleave a few points.  The key holds the two
+# signatures, not the records, so the unramified parts of chi1 at one point
+# share a profile.  One verify call asks for thousands of distinct profiles,
+# so none is left for the next call.
 _PROFILE_MEMO = 32
 
 
@@ -279,13 +282,14 @@ _PROFILE_MEMO = 32
 def _ts_profile(
     params: FieldParams,
     weight_r: Tuple[int, ...],
-    chi1: CharacterData,
-    chi2: CharacterData,
+    sig1: TameSignature,
+    sig2: TameSignature,
 ) -> WeightProfile:
-    """``ts_profile`` keyed by its four records; a raise is not cached."""
+    """``ts_profile`` keyed by what it reads; a raise is not cached."""
     _validate_r(params, weight_r)
     p, e, f = params.p, params.e, params.f
-    m = reduced_exponents(params, chi2)  # in range by construction
+    cls2 = signature_class(params, sig2)
+    m = _slot_digits(p, f, cls2)  # chi2's reduced exponents, in range by construction
     least = _least_shift(params, weight_r, m)
     j_min = frozenset(i for i in range(f) if least >> i & 1)
     t = tuple(
@@ -311,8 +315,7 @@ def _ts_profile(
         for j in range(i + 1, i + 1 + f):
             tail = tail * p + diff[j % f]
         xi.append(q1 * s[i] + tail)
-    cls = (signature_class(params, chi1.signature)
-           - signature_class(params, chi2.signature)) % q1
+    cls = (signature_class(params, sig1) - cls2) % q1
     if exponent_class(params, tuple(diff)) != cls:
         raise ChiMismatch(
             "chi1/chi2 is not the character cut out by the shift profile"

@@ -35,12 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from serreweights import BasisLabel, i_m_index, niveau, w_prime
 from serreweights._gf import field
-from serreweights.errors import (
-    IntegralityViolation,
-    InternalInvariantViolation,
-    InvalidInput,
-    RouteMismatch,
-)
+from serreweights.errors import InternalInvariantViolation, InvalidInput
 from serreweights.series_oracle import (
     LaurentElement,
     TensorAlgebra,
@@ -50,6 +45,14 @@ from serreweights.series_oracle import (
     monomial,
     residue_trace_pairing,
 )
+
+
+class RouteMismatch(InternalInvariantViolation):
+    """Two independent computation routes disagree."""
+
+
+class IntegralityViolation(InternalInvariantViolation):
+    """A coefficient expected to be p-integral has p in its denominator."""
 
 
 @lru_cache(maxsize=None)

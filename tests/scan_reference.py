@@ -45,10 +45,16 @@ def n_values_scan(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
     )
 
 
+def rotate(sig: TameSignature, steps: int = 1) -> TameSignature:
+    """Frobenius action: (a_0, ..., a_{f-1}) -> (a_1, ..., a_{f-1}, a_0)."""
+    steps %= len(sig.a)
+    return TameSignature(sig.a[steps:] + sig.a[:steps])
+
+
 def niveau_scan(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
     f = params.f
     for d in range(1, f + 1):
-        if f % d == 0 and sig.rotate(d) == sig:
+        if f % d == 0 and rotate(sig, d) == sig:
             return d, f // d
     raise AssertionError("rotation by f always fixes the signature")
 

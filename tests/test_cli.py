@@ -1105,7 +1105,8 @@ def test_grid_pair_tests_for_a_shift_before_building_chi1(monkeypatch):
     assert built == [(chi2_class,)]
     assert io_cli._verify_pair_instance(SHIFTLESS) == []
     assert io_cli._verify_twist_instance((SHIFTLESS, (1,))) == []
-    assert io_cli._verify_oracle_instance((SHIFTLESS, io_cli._ORACLE_MUS[p])) == []
+    for mu in io_cli._ORACLE_MUS[p]:
+        assert io_cli._verify_oracle_instance((SHIFTLESS, mu)) == []
 
 
 @pytest.mark.parametrize("weight, flags, beside", [
@@ -1202,6 +1203,47 @@ def test_verify_counts_a_lossy_oracle_route(capsys, monkeypatch):
     assert by_name["oracle_agreement"]["first_counterexample"] == first
     del by_name["oracle_agreement"]
     assert all(prop["failures"] == 0 for prop in by_name.values())
+
+
+def test_verify_reports_a_shared_step_error_once_per_oracle_part(capsys, monkeypatch):
+    """An error of the profile, which every unramified part of a point
+    shares, is an unexpected_error of the pair job and of each oracle part,
+    each under its own where text."""
+    spec = (3, 1, 1, 0, (1,))
+    params, _, chi2 = io_cli._grid_pair(spec)
+    target = (params, spec[4], chi2.signature)
+    real = io_cli.ts_profile
+
+    def broken(at, weight_r, c1, c2):
+        if (at, tuple(weight_r), c2.signature) == target:
+            raise io_cli.InternalInvariantViolation("planted")
+        return real(at, weight_r, c1, c2)
+
+    found = []
+    real_mapped = io_cli._mapped
+
+    def recorded(jobs, *maps):
+        for failures in real_mapped(jobs, *maps):
+            found.extend(failures)
+            yield failures
+
+    monkeypatch.setattr(io_cli, "ts_profile", broken)
+    monkeypatch.setattr(io_cli, "_mapped", recorded)
+    code, doc = run_json(capsys, [
+        "verify", "--p-max", "3", "--e-max", "1", "--f-max", "1",
+        "--with-oracle", "--jobs", "1",
+    ])
+    assert code == 1
+    error = "InternalInvariantViolation('planted')"
+    assert found == [("unexpected_error", text) for text in (
+        f"p=3 e=1 f=1 chi2_class=0 r=(1,): {error}",
+        f"p=3 e=1 f=1 chi2_class=0 r=(1,) mu=1:0: {error}",
+        f"p=3 e=1 f=1 chi2_class=0 r=(1,) mu=1:1: {error}",
+        f"p=3 e=1 f=1 chi2_class=0 r=(1,) mu=2:2: {error}",
+    )]
+    by_name = {prop["name"]: prop["failures"] for prop in doc["properties"]}
+    assert by_name.pop("unexpected_error") == 4
+    assert not any(by_name.values())
 
 
 # The report of the verify_grid benchmark workload: 1 995 bytes.

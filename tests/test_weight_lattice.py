@@ -12,6 +12,7 @@ from serreweights import (
     InvariantError,
     NoValidShift,
     SerreWeight,
+    UnramifiedPart,
     char_quotient,
     character,
     exponent_class,
@@ -163,6 +164,21 @@ def test_ts_profile_fixture_f3():
     for key, want in FIXTURE_F3.items():
         assert getattr(prof, key) == want
     assert prof.interval_total() == 0
+
+
+def test_ts_profile_memo_is_keyed_by_the_signatures():
+    """chi1's unramified part does not enter the key: a chi1 that differs
+    only there is served the cached profile, and another signature misses."""
+    memo = weight_lattice._ts_profile
+    memo.cache_clear()
+    chi2 = character(P3F1E1, (1,))
+    profile = ts_profile(P3F1E1, (3,), character(P3F1E1, (2,)), chi2)
+    twin = character(P3F1E1, (2,), unram=UnramifiedPart(2, 2))
+    assert ts_profile(P3F1E1, (3,), twin, chi2) is profile
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
+    other = ts_profile(P3F1E1, (3,), character(P3F1E1, (1,)), character(P3F1E1, (0,)))
+    assert other != profile
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 2)
 
 
 def test_ts_profile_chi_mismatch():
