@@ -34,9 +34,11 @@ sieves on the coefficients, O(log p) each, drop candidates that cannot
 qualify (see ``_find_modulus``); each survivor costs a few powers of x
 through the same packed product.
 
-There are no log or Zech tables: for the 2^18-element fields of the
-residue pairing a log/antilog pair would take about 19 MB, several times
-what the packed arithmetic needs in all.
+There are no log or Zech tables.  The residue pairing works in F_p(a),
+the field of one unramified value, so its fields are small (F_2 to F_9 on
+the benchmark workloads), but the degree cap admits 2^24 elements, where a
+log/antilog pair of about 36 bytes an entry would take over 1 GB; the
+packed arithmetic needs O(r) bytes a field.
 
 The degree is capped at ``_MAX_DEGREE``, a resource limit rather than a
 validity condition: a field factors p^r - 1 once, by trial division that
@@ -47,7 +49,8 @@ cryptographic sizes.  A larger degree raises ``ResourceLimitExceeded``.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 from .errors import InvalidInput, ResourceLimitExceeded
 from .tame_chars import is_prime
@@ -266,12 +269,7 @@ class FiniteField:
         return n
 
 
-_FIELD_CACHE: Dict[Tuple[int, int], FiniteField] = {}
-
-
+@lru_cache(maxsize=None)
 def field(p: int, r: int) -> FiniteField:
     """The cached F_{p^r} for the pinned modulus convention."""
-    key = (p, r)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, r)
-    return _FIELD_CACHE[key]
+    return FiniteField(p, r)

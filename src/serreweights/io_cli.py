@@ -46,10 +46,12 @@ from .errors import (
 )
 from .serre_basis import (
     BasisLabel,
+    _normalized,
     basis_labels,
     j_v_ah,
     j_v_ah_bruteforce,
     l_v_ah,
+    validate_e_m,
     w_prime,
 )
 from .series_oracle import rederive_jvah
@@ -72,7 +74,6 @@ from .weight_lattice import (
     _least_shift,
     reduced_exponents,
     ts_profile,
-    twist_normalize,
     validate_weight,
     weight_from_r,
 )
@@ -422,12 +423,12 @@ def _pair_command(args, command: str, fields) -> Tuple[dict, int]:
 def _profile_payload(problem: Problem) -> Tuple[dict, object, CharacterData]:
     """The profile fields of a problem, with its profile and quotient character."""
     params = problem.params
-    normalized, c1, c2 = twist_normalize(
-        params, problem.weight, problem.chi1, problem.chi2
+    r, c1, c2, chi = _normalized(
+        params, problem.weight, problem.chi1, problem.chi2, problem.chi_cyclotomic
     )
-    r = tuple(eta_i + 1 for eta_i in normalized.eta)
-    chi = char_quotient(params, c1, c2, declare_cyclotomic=problem.chi_cyclotomic)
     profile = ts_profile(params, r, c1, c2)
+    if problem.e_m is not None:  # after the shift search, as the routes check it
+        validate_e_m(params, chi, problem.e_m)
     payload = {
         "r": list(r),
         "chi": _char_dict(params, chi),

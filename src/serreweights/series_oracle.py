@@ -61,9 +61,8 @@ from .errors import (
 )
 from .serre_basis import (
     BasisLabel,
-    _check_profile_chi,
+    _route_e_m,
     i_m_index,
-    validate_e_m,
     w_prime,
 )
 from .tame_chars import CharacterData, FieldParams, niveau
@@ -296,10 +295,7 @@ def rederive_jvah(
     F_p(a), of degree ``order_field_degree``, with a the generator raised to
     the part's dlog, as the record defines it.
     """
-    if e_m is None:
-        e_m = params.tame_order
-    validate_e_m(params, chi, e_m)
-    _check_profile_chi(params, profile, chi)
+    e_m = _route_e_m(params, chi, e_m, profile)
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m

@@ -162,12 +162,21 @@ def validate_e_m(params: FieldParams, chi: CharacterData, e_m: int) -> None:
             )
 
 
-def _check_profile_chi(
-    params: FieldParams, profile: WeightProfile, chi: CharacterData
-) -> None:
-    diff = tuple(si - ti for si, ti in zip(profile.s, profile.t))
-    if exponent_class(params, diff) != signature_class(params, chi.signature):
-        raise InvalidInput("profile and character disagree on the quotient class")
+def _route_e_m(
+    params: FieldParams, chi: CharacterData, e_m: Optional[int],
+    profile: Optional[WeightProfile] = None,
+) -> int:
+    """The entry check of the label routes: the e_M they run at (p^f - 1
+    when not given), checked by ``validate_e_m``, with the profile's s - t,
+    when given, in chi's class."""
+    if e_m is None:
+        e_m = params.tame_order
+    validate_e_m(params, chi, e_m)
+    if profile is not None:
+        diff = tuple(si - ti for si, ti in zip(profile.s, profile.t))
+        if exponent_class(params, diff) != signature_class(params, chi.signature):
+            raise InvalidInput("profile and character disagree on the quotient class")
+    return e_m
 
 
 def _p_valuation(p: int, x: int) -> int:
@@ -190,10 +199,7 @@ def j_v_ah(
     divisibility checks the computation proceeds at full scale; the answer
     is the same for every valid e_M.
     """
-    if e_m is None:
-        e_m = params.tame_order
-    validate_e_m(params, chi, e_m)
-    _check_profile_chi(params, profile, chi)
+    e_m = _route_e_m(params, chi, e_m, profile)
     p, f = params.p, params.f
     q1 = params.tame_order
     derived = _derived(params, chi.signature)
@@ -247,10 +253,7 @@ def j_v_ah_bruteforce(
     witness's arithmetic done once instead of once per (m, k); no equation
     is solved for m or for a witness.
     """
-    if e_m is None:
-        e_m = params.tame_order
-    validate_e_m(params, chi, e_m)
-    _check_profile_chi(params, profile, chi)
+    e_m = _route_e_m(params, chi, e_m, profile)
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m
@@ -308,6 +311,18 @@ class LVResult(NamedTuple):
     extra_degree: Optional[int] = None
 
 
+def _normalized(
+    params: FieldParams, weight: SerreWeight, chi1: CharacterData,
+    chi2: CharacterData, chi_cyclotomic: Optional[bool],
+) -> Tuple[Tuple[int, ...], CharacterData, CharacterData, CharacterData]:
+    """A problem twisted to theta = 0: (r, chi1, chi2, chi1/chi2), with
+    r = eta + 1 and the quotient's cyclotomic declaration checked."""
+    normalized, c1, c2 = twist_normalize(params, weight, chi1, chi2)
+    r = tuple(eta_i + 1 for eta_i in normalized.eta)
+    chi = char_quotient(params, c1, c2, declare_cyclotomic=chi_cyclotomic)
+    return r, c1, c2, chi
+
+
 def l_v_ah(
     params: FieldParams,
     weight: SerreWeight,
@@ -325,12 +340,8 @@ def l_v_ah(
     whole basis; otherwise the labels come from the profile's subset, plus
     the unramified class when the quotient is trivial.
     """
-    normalized, c1, c2 = twist_normalize(params, weight, chi1, chi2)
-    r = tuple(eta_i + 1 for eta_i in normalized.eta)
-    chi = char_quotient(params, c1, c2, declare_cyclotomic=chi_cyclotomic)
-    if e_m is not None:
-        validate_e_m(params, chi, e_m)
-    e_m_used = params.tame_order if e_m is None else e_m
+    r, c1, c2, chi = _normalized(params, weight, chi1, chi2, chi_cyclotomic)
+    e_m_used = _route_e_m(params, chi, e_m)
     exceptional = (
         chi.declared_cyclotomic
         and is_unramified(params, c2)

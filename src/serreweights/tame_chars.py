@@ -242,14 +242,24 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
     p, f, a = params.p, params.f, sig.a
     _check_digits(p, f, a)
     q1 = p**f - 1
-    n = tuple(
-        sum(a[(i + j) % f] * p ** (f - j) for j in range(1, f + 1)) for i in range(f)
-    )
+    n = tuple(_twisted_sums(p, f, a))
     f_prime = next(d for d in range(1, f + 1) if f % d == 0 and a[d:] + a[:d] == a)
     index_of = {n[i] % q1: i for i in range(f_prime)}
     distinct = len(index_of) == f_prime
     counts = Counter(ni % q1 for ni in n)
     return _Derived(n, (f_prime, f // f_prime), index_of, distinct, counts)
+
+
+def _twisted_sums(p: int, f: int, a) -> List[int]:
+    """n_i = sum_{j=1..f} a_{i+j} p^{f-j}, indices mod f, for any integers a:
+    n_0 by Horner, then n_{i+1} = p n_i - a_{i+1} (p^f - 1), O(f) in all."""
+    n = 0
+    for c in a[1:] + a[:1]:  # a_1 p^(f-1) + ... + a_{f-1} p + a_0
+        n = n * p + c
+    sums, q1 = [n], p**f - 1
+    for c in a[1:]:
+        sums.append(p * sums[-1] - c * q1)
+    return sums
 
 
 def _matching_numerators(
@@ -396,12 +406,19 @@ def _finish_character(
     validate_signature(params, sig)
     _validate_unram(params, unram)
     trivial = _is_trivial_signature(params, sig) and unram.is_trivial(params.p)
+    if cyclotomic:
+        if sig != cyclotomic_inertia_signature(params):
+            raise InvariantError(
+                f"cyclotomic declaration inconsistent with signature {sig.a}"
+            )
+        # Mod 2 the cyclotomic signature is the trivial one, so only the
+        # unramified part can make a cyclotomic declaration nontrivial.
+        if params.p == 2 and not trivial:
+            raise InvariantError("mod-2 cyclotomic declarations need trivial unram")
     # Cyclotomic is declared, except mod 2 where it is the trivial character.
-    chi = CharacterData(
+    return CharacterData(
         sig, unram, trivial, bool(cyclotomic) or (params.p == 2 and trivial)
     )
-    _validate_declarations(params, chi)
-    return chi
 
 
 def _is_trivial_signature(params: FieldParams, sig: TameSignature) -> bool:
@@ -409,30 +426,15 @@ def _is_trivial_signature(params: FieldParams, sig: TameSignature) -> bool:
 
 
 def validate_character(params: FieldParams, chi: CharacterData) -> None:
-    """Check a character record against (p, e, f) and its flag rules."""
-    validate_signature(params, chi.signature)
-    _validate_unram(params, chi.unram)
-    trivial = _is_trivial_signature(params, chi.signature) and chi.unram.is_trivial(
-        params.p
+    """Check a character record against (p, e, f) and its flag rules: it
+    must be the record ``_finish_character`` builds from its data and its
+    cyclotomic declaration."""
+    rebuilt = _finish_character(
+        params, chi.signature, chi.unram, chi.declared_cyclotomic
     )
-    if chi.declared_trivial != trivial:
+    if chi.declared_trivial != rebuilt.declared_trivial:
         raise InvariantError("trivial flag inconsistent with character data")
-    _validate_declarations(params, chi)
-
-
-def _validate_declarations(params: FieldParams, chi: CharacterData) -> None:
-    """The cyclotomic and mod-2 rules of a record whose trivial flag matches
-    its data."""
-    if chi.declared_cyclotomic:
-        if chi.signature != cyclotomic_inertia_signature(params):
-            raise InvariantError(
-                f"cyclotomic declaration inconsistent with signature {chi.signature.a}"
-            )
-        # Mod 2 the cyclotomic signature is the trivial one, so only the
-        # unramified part can make a cyclotomic declaration nontrivial.
-        if params.p == 2 and not chi.declared_trivial:
-            raise InvariantError("mod-2 cyclotomic declarations need trivial unram")
-    if params.p == 2 and chi.declared_trivial and not chi.declared_cyclotomic:
+    if chi != rebuilt:  # only a mod-2 trivial record gains the declaration
         raise InvariantError("mod-2 trivial characters are cyclotomic")
 
 

@@ -36,11 +36,10 @@ from .tame_chars import (
     CharacterData,
     FieldParams,
     TameSignature,
-    _signature_from_class,
     _slot_digits,
+    _twisted_sums,
     character,
     exponent_class,
-    n_values,
     signature_class,
 )
 
@@ -308,22 +307,14 @@ def _ts_profile(
         else:
             intervals.append((ti,) + tuple(range(ri, si)))
     q1 = params.tame_order
-    diff = [si - ti for si, ti in zip(s, t)]
-    xi = []
-    for i in range(f):
-        tail = 0  # Horner: diff_{i+1} p^(f-1) + ... + diff_{i+f}, indices mod f
-        for j in range(i + 1, i + 1 + f):
-            tail = tail * p + diff[j % f]
-        xi.append(q1 * s[i] + tail)
-    cls = (signature_class(params, sig1) - cls2) % q1
-    if exponent_class(params, tuple(diff)) != cls:
+    # xi_i is (p^f - 1) s_i plus the i-th twisted digit sum of s - t.  The
+    # sums satisfy n_{i+1} = p n_i mod p^f - 1, as chi's n-values do, so
+    # once the 0-th sum, the exponent class of s - t, is chi's class, each
+    # xi_i is congruent to chi's n_i.
+    tails = _twisted_sums(p, f, [si - ti for si, ti in zip(s, t)])
+    xi = [q1 * si + tail for si, tail in zip(s, tails)]
+    if tails[0] % q1 != (signature_class(params, sig1) - cls2) % q1:
         raise ChiMismatch(
             "chi1/chi2 is not the character cut out by the shift profile"
         )
-    n = n_values(params, _signature_from_class(params, cls))
-    for i in range(f):
-        if (xi[i] - n[i]) % q1:
-            raise InternalInvariantViolation(
-                f"xi_{i} = {xi[i]} is not congruent to n_{i} = {n[i]} mod {q1}"
-            )
     return WeightProfile(weight_r, t, s, tuple(intervals), tuple(xi), j_min)

@@ -327,6 +327,16 @@ def test_benchmark_tracer_finds_every_layer_metric(capsys, monkeypatch):
     assert tracing.leftover_wrappers() == []
 
 
+def test_benchmark_self_test_passes():
+    """The harness's own check (tiny sizes, mutation and cleanup checks) runs
+    with the suite, so a renamed public function fails here too."""
+    done = run_python(
+        [str(REPO / "benchmarks" / "run.py"), "--self-test"], timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "SELF-TEST PASSED" in done.stdout
+
+
 def run_python(args, timeout=60):
     """A fresh interpreter that imports this checkout's package."""
     src = str(Path(serreweights.__file__).resolve().parent.parent)
@@ -521,6 +531,12 @@ UNRAM_DOC = {**DOC_P3E2,
                           "--e-m", "3"),
         _doc((3, 1, 1), {"r": [2]}, [0], [0], e_m=3),
         2, id="profile-bad-e_m",
+    ),
+    pytest.param(  # (p^f - 1)/e_M = 2 does not divide n_0 = 5, as lv and oracle say
+        "profile", _flags((3, 1, 2), "--r", "2,1", "--chi1-exps", "5,0",
+                          "--chi2-exps", "0,0", "--e-m", "4"),
+        _doc((3, 1, 2), {"r": [2, 1]}, [5, 0], [0, 0], e_m=4),
+        2, id="profile-e_m-not-dividing-n",
     ),
 ])
 def test_problem_document_matches_flags(capsys, tmp_path, command, flags, doc, code):
@@ -908,6 +924,39 @@ def test_verify_reports_mutations(capsys, monkeypatch):
     by_name = {prop["name"]: prop for prop in doc["properties"]}
     assert by_name["xi_congruence"]["failures"] > 0
     assert by_name["xi_congruence"]["first_counterexample"]
+
+
+@pytest.mark.parametrize("total_in_step, failing", [
+    (True, {"dimension_sum", "jump_size"}),
+    (False, {"jump_size"}),
+])
+def test_verify_reports_jump_profile_mutations(
+    capsys, monkeypatch, total_in_step, failing
+):
+    """``jump_profile`` raises on the conditions of dimension_sum and
+    jump_size, so only a seam shows that verify reports them: one interior
+    jump a dimension too large, with the total raised to match or not."""
+    real = io_cli.jump_profile
+
+    def corrupted(params, chi):
+        profile = real(params, chi)
+        entries = list(profile.entries)
+        k = next(k for k, (s, _) in enumerate(entries) if s > 0)  # interior
+        entries[k] = (entries[k][0], entries[k][1] + 1)
+        # _replace skips JumpProfile's constructor checks
+        return profile._replace(
+            entries=tuple(entries), total=profile.total + total_in_step
+        )
+
+    monkeypatch.setattr(io_cli, "jump_profile", corrupted)
+    code, doc = run_json(
+        capsys, ["verify", "--p-max", "3", "--e-max", "1", "--f-max", "2"]
+    )
+    assert code == 1
+    by_name = {prop["name"]: prop for prop in doc["properties"]}
+    assert {name for name, prop in by_name.items() if prop["failures"]} == failing
+    for name in failing:
+        assert by_name[name]["first_counterexample"]
 
 
 def valid_shift_points(p_max, e_max, f_max):

@@ -178,6 +178,32 @@ def test_hand_built_records_get_the_builder_messages():
         )
 
 
+def test_validate_character_rejects_a_wrong_trivial_flag_both_ways():
+    p3f2 = FieldParams(3, 1, 2)
+    message = r"^trivial flag inconsistent with character data$"
+    nontrivial = character(p3f2, (1, 2))
+    with pytest.raises(InvariantError, match=message):
+        validate_character(p3f2, nontrivial._replace(declared_trivial=True))
+    trivial = character(p3f2, (0, 0))
+    assert trivial.declared_trivial
+    with pytest.raises(InvariantError, match=message):
+        validate_character(p3f2, trivial._replace(declared_trivial=False))
+    unram = character(p3f2, (0, 0), unram=UnramifiedPart(1, 1))
+    with pytest.raises(InvariantError, match=message):
+        validate_character(p3f2, unram._replace(declared_trivial=True))
+
+
+def test_validate_character_rejects_a_mod_2_trivial_record_not_cyclotomic():
+    for params in (FieldParams(2, 1, 1), FieldParams(2, 2, 3)):
+        trivial = character(params, (0,) * params.f)
+        assert trivial.declared_trivial and trivial.declared_cyclotomic
+        validate_character(params, trivial)
+        with pytest.raises(
+            InvariantError, match=r"^mod-2 trivial characters are cyclotomic$"
+        ):
+            validate_character(params, trivial._replace(declared_cyclotomic=False))
+
+
 # ---------------------------------------------------------------------------
 # The records are NamedTuples
 # ---------------------------------------------------------------------------

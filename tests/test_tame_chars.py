@@ -1,5 +1,7 @@
 """Signatures, exponent classes, and tame character arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -261,6 +263,31 @@ def test_n_values_match_direct_evaluation(p, f):
         want = tuple(oracles.n_value(p, f, sig.a, i) for i in range(f))
         assert got == want
         assert all(params.repunit <= n < p * params.repunit for n in got)
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5) for f in (1, 2, 3, 4)])
+def test_twisted_sums_match_direct_evaluation_on_signatures(p, f):
+    for a in oracles.signature_space(p, f):
+        want = [oracles.n_value(p, f, a, i) for i in range(f)]
+        assert tame_chars._twisted_sums(p, f, a) == want
+
+
+def test_twisted_sums_match_direct_evaluation_on_any_integers():
+    """The recurrence n_{i+1} = p n_i - a_{i+1} (p^f - 1) needs no digit
+    range: negative entries, as in s - t, and f = 64 give the plain sum."""
+    rng = random.Random(5)
+    cases = [
+        (p, f, tuple(rng.randint(-40, 40) for _ in range(f)))
+        for p in (2, 3, 5, 7, 13)
+        for f in (1, 2, 3, 5, 8)
+        for _ in range(20)
+    ]
+    cases += [(2, 64, tuple(rng.randint(1, 2) for _ in range(64))) for _ in range(5)]
+    cases += [(3, 64, tuple(rng.randint(-5, 5) for _ in range(64)))]
+    for p, f, a in cases:
+        want = [oracles.n_value(p, f, a, i) for i in range(f)]
+        assert tame_chars._twisted_sums(p, f, a) == want
+        assert tame_chars._twisted_sums(p, f, list(a)) == want
 
 
 def test_n_values_distinct_at_full_niveau():
