@@ -66,17 +66,17 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     Trial division that stops once the cofactor left is prime: the cofactor
     is tested by ``is_prime`` at the start and after each factor is divided
     out.  A prime cofactor at or above the bound where that test is exact
-    raises ResourceLimitExceeded.
+    raises ResourceLimitExceeded, which names it a factor of p^r - 1, the
+    one number factored here.
     """
-    factors = []
-    d = 2
-    prime = is_prime(n)
+    factors, d, name = [], 2, "the factor {} of p^r - 1"
+    prime = is_prime(n, name)
     while not prime and d * d <= n:
         if n % d == 0:
             factors.append(d)
             while n % d == 0:
                 n //= d
-            prime = is_prime(n)
+            prime = is_prime(n, name)
         d += 1
     if n > 1:
         factors.append(n)

@@ -38,7 +38,6 @@ from .cohomology import _top_level, h1_dimension, jump_profile, window_cardinali
 from .errors import (
     InternalInvariantViolation,
     InvalidInput,
-    InvariantError,
     NoValidShift,
     ResourceLimitExceeded,
     SchemaError,
@@ -190,11 +189,11 @@ def parse_problem(doc: dict) -> Problem:
     chi1 = _parse_character(params, _node(doc, "chi1", ""), ".chi1")
     chi2 = _parse_character(params, _node(doc, "chi2", ""), ".chi2")
     e_m = _int_at(doc, "e_m", "", required=False)
-    if e_m is not None and (e_m < 1 or params.tame_order % e_m):
-        raise InvariantError(
-            f"e_m must divide p^f - 1 = {params.tame_order}, got {e_m}"
-        )
     chi_cyclotomic = _bool_at(doc, "chi_cyclotomic", "")
+    # The quotient is twist-invariant, and this is _normalized's memo key.
+    chi = char_quotient(params, chi1, chi2, chi_cyclotomic)
+    if e_m is not None:
+        validate_e_m(params, chi, e_m)
     return Problem(params, weight, chi1, chi2, e_m, chi_cyclotomic)
 
 
@@ -427,8 +426,6 @@ def _profile_payload(problem: Problem) -> Tuple[dict, object, CharacterData]:
         params, problem.weight, problem.chi1, problem.chi2, problem.chi_cyclotomic
     )
     profile = ts_profile(params, r, c1, c2)
-    if problem.e_m is not None:  # after the shift search, as the routes check it
-        validate_e_m(params, chi, problem.e_m)
     payload = {
         "r": list(r),
         "chi": _char_dict(params, chi),

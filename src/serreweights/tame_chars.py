@@ -43,12 +43,13 @@ _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SPRP_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-def is_prime(n: int) -> bool:
+def is_prime(n: int, name: str = "p = {}") -> bool:
     """Primality by the strong probable-prime test to ``_SPRP_BASES``.
 
     Exact below ``_SPRP_EXACT_BELOW``.  At or above it a number that fails
     a base is still composite, but one that passes every base raises
-    ResourceLimitExceeded: the test decides nothing there.
+    ResourceLimitExceeded, naming n as ``name.format(n)``: the test decides
+    nothing there.
     """
     if n < 2:
         return False
@@ -69,7 +70,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _SPRP_EXACT_BELOW:
         raise ResourceLimitExceeded(
-            f"p = {n} passes the strong probable-prime test, which decides "
+            f"{name.format(n)} passes the strong probable-prime test, which decides "
             f"primality only below {_SPRP_EXACT_BELOW}"
         )
     return True
@@ -307,15 +308,13 @@ def _validate_unram(params: FieldParams, unram: UnramifiedPart) -> None:
     r, d = unram.order_field_degree, unram.dlog
     if r < 1:
         raise InvariantError(f"unramified-part field degree must be >= 1, got {r}")
-    if not 0 <= d < max(params.p**r - 1, 1):
+    if not 0 <= d < params.p**r - 1:
         raise InvariantError(f"dlog must lie in [0, p^r - 2], got {d} for degree {r}")
 
 
 def _scaled_dlog(p: int, unram: UnramifiedPart, degree: int) -> int:
-    """Discrete log of the same value with respect to the degree-L generator."""
+    """Discrete log of the same value in the degree-L generator, for r | L."""
     r = unram.order_field_degree
-    if degree % r:
-        raise InvalidInput(f"degree {degree} is not a multiple of {r}")
     return (unram.dlog * ((p**degree - 1) // (p**r - 1))) % (p**degree - 1)
 
 
@@ -405,7 +404,7 @@ def _finish_character(
     once; the trivial flag holds by construction."""
     validate_signature(params, sig)
     _validate_unram(params, unram)
-    trivial = _is_trivial_signature(params, sig) and unram.is_trivial(params.p)
+    trivial = _is_trivial_signature(params, sig) and unram.dlog == 0  # d < p^r - 1
     if cyclotomic:
         if sig != cyclotomic_inertia_signature(params):
             raise InvariantError(

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from serreweights import (
     FieldParams,
+    InvalidEM,
     InvalidInput,
     InvariantError,
+    NoValidShift,
     SchemaError,
     SerreWeightsError,
     character,
@@ -143,6 +146,26 @@ ORACLE_F3 = ["oracle", "--p", "2", "--e", "1", "--f", "3", "--r=1,1,1",
              "--chi1-exps=2,1,2", "--chi2-exps=1,2,1"]
 
 
+def test_invariant_violation_exits_1(capsys, monkeypatch):
+    """A failed theorem-level identity exits 1 with nothing on stdout."""
+    def planted(*args):
+        raise serreweights.InternalInvariantViolation("planted")
+
+    monkeypatch.setattr(io_cli, "j_v_ah", planted)
+    assert run_command(ORACLE_F3) == 1
+    assert capsys.readouterr() == ("", "invariant violation: planted\n")
+
+
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    """An oracle that finds no labels disagrees with both routes: the report
+    is still written, with its verdict, and the exit code is 1."""
+    monkeypatch.setattr(io_cli, "rederive_jvah", lambda *args: frozenset())
+    code, doc = run_json(capsys, ORACLE_F3)
+    assert code == 1
+    assert doc["j_oracle"] == [] and doc["j_constructive"]
+    assert doc["agree"] is False and doc["status"] == "oracle_mismatch"
+
+
 def test_negative_trunc_is_invalid_input(capsys, tmp_path):
     """The oracle reads its truncation and field degree from the instance:
     a flag or a document node that would set either exits 2."""
@@ -205,32 +228,60 @@ def test_field_degree_past_the_cap_exits_3(capsys):
     )
 
 
-def _readme_resource_limit_examples():
-    """Each README command followed by a ``# resource limit:`` line, as
-    (argv, the comment's stderr text, whether it was cut at "...")."""
+_STDERR_PREFIXES = ("invalid input: ", "resource limit: ", "invariant violation: ")
+
+
+def _readme_exit_code_examples():
+    """Each README command followed by a comment ending ``(exit code N)``, as
+    (argv, N, the comment's text when it is a stderr line or None, whether
+    that text was cut at "...")."""
     lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
     examples, command = [], None
     for line in lines:
+        stated = re.fullmatch(r"# (.*)  \(exit code (\d)\)", line)
         if command is not None and command.endswith("\\"):
             command = command[:-1] + line
         elif line.startswith("serreweights "):
             command = line
-        elif command is not None and line.startswith("# resource limit:"):
-            text, cut, _ = line[2:].removesuffix("  (exit code 3)").partition("...")
-            examples.append((shlex.split(command)[1:], text, bool(cut)))
+        elif command is not None and stated:
+            text, cut, _ = stated[1].partition("...")
+            if not text.startswith(_STDERR_PREFIXES):
+                text = None
+            examples.append((shlex.split(command)[1:], int(stated[2]), text, bool(cut)))
             command = None
         else:
             command = None
     return examples
 
 
-def test_readme_resource_limit_examples_exit_3(capsys):
-    examples = _readme_resource_limit_examples()
-    assert len(examples) == 3
-    for argv, text, cut in examples:
-        assert run_command(argv) == 3, argv
+def test_readme_examples_exit_as_stated(capsys):
+    """Every README example that states an exit code runs to it, with the
+    stderr line it quotes; the others write nothing to stderr."""
+    examples = _readme_exit_code_examples()
+    assert sorted(code for _, code, _, _ in examples) == [0, 2, 3, 3, 3, 3]
+    for argv, code, text, cut in examples:
+        assert run_command(argv) == code, argv
         err = capsys.readouterr().err
-        assert err.startswith(text) if cut else err == text + "\n"
+        if text is None:
+            assert err == "", argv
+        else:
+            assert err.startswith(text) if cut else err == text + "\n", argv
+
+
+def test_a_factor_of_p_r_minus_1_past_the_primality_bound_is_named(capsys):
+    """The undecided number is a factor of p^3 - 1, not p: the resource
+    limit names it as one (it used to call it "p")."""
+    p = 655_360_000_000_001
+    factor = (p * p + p + 1) // 7
+    argv = ["oracle", "--p", str(p), "--e", "1", "--f", "1", "--r=1",
+            "--chi1-exps=1", "--chi2-exps=0",
+            "--chi1-unram", "3:40210710958665326927169828571709440000000000"]
+    assert run_command(argv) == 3
+    assert capsys.readouterr() == ("", (
+        f"resource limit: the factor {factor} of p^r - 1 passes the strong "
+        "probable-prime test, which decides primality only below "
+        "3317044064679887385961981\n"
+    ))
 
 
 @pytest.mark.parametrize("f", [21, 64])
@@ -500,6 +551,13 @@ UNRAM_DOC = {**DOC_P3E2,
              "chi2": {"exps": [1], "unram": {"degree": 1, "dlog": 1}}}
 
 
+# A problem with no shift subset whose e_M fails validate_e_m: (p^f - 1)/e_M
+# = 8 does not divide n_0 = 7.
+FOUND_E_M_FLAGS = _flags((3, 1, 2), "--r=2,1", "--chi1-exps=0,0", "--chi2-exps=1,0",
+                         "--e-m", "1")
+FOUND_E_M_DOC = _doc((3, 1, 2), {"r": [2, 1]}, [0, 0], [1, 0], e_m=1)
+
+
 @pytest.mark.parametrize("command, flags, doc, code", [
     pytest.param("lv", PAIR_P3E2 + ["--e-m", "2"], PROBLEM_DOC, 0, id="lv-r-e_m"),
     pytest.param("profile", PAIR_P3E2, DOC_P3E2, 0, id="profile-r"),
@@ -537,6 +595,12 @@ UNRAM_DOC = {**DOC_P3E2,
                           "--chi2-exps", "0,0", "--e-m", "4"),
         _doc((3, 1, 2), {"r": [2, 1]}, [5, 0], [0, 0], e_m=4),
         2, id="profile-e_m-not-dividing-n",
+    ),
+    pytest.param(  # no shift subset exists: e_M is checked before the search
+        "profile", FOUND_E_M_FLAGS, FOUND_E_M_DOC, 2, id="profile-e_m-before-search",
+    ),
+    pytest.param(
+        "oracle", FOUND_E_M_FLAGS, FOUND_E_M_DOC, 2, id="oracle-e_m-before-search",
     ),
 ])
 def test_problem_document_matches_flags(capsys, tmp_path, command, flags, doc, code):
@@ -598,6 +662,34 @@ def test_missing_field_flag_exits_2(capsys, command, flag):
     assert run_command(argv) == 2
     err = capsys.readouterr().err
     assert err == f"invalid input: missing key at .params.{flag[2:]}\n"
+
+
+def test_pair_commands_check_e_m_before_the_shift_search(capsys):
+    """``parse_problem`` checks e_M against the quotient, so the three pair
+    commands fail alike where no shift subset exists (profile and oracle
+    reported lv_empty when they checked it after the search)."""
+    for command in ("lv", "profile", "oracle"):
+        assert run_command([command, *FOUND_E_M_FLAGS]) == 2, command
+        assert capsys.readouterr() == (
+            "", "invalid input: (p^f - 1)/e_M = 8 does not divide n_i = 7\n"
+        )
+    with pytest.raises(NoValidShift):
+        l_v_ah(*parse_problem({**FOUND_E_M_DOC, "e_m": 8})[:4])
+
+
+def test_parse_problem_checks_the_cyclotomic_declaration_first(capsys):
+    """The quotient is built when the document is parsed, so a wrong
+    --chi-cyclotomic is reported before --chi2-unramified is asserted."""
+    doc = _doc((5, 1, 1), {"r": [2]}, [1], [1], chi_cyclotomic=True)
+    message = "cyclotomic declaration inconsistent with signature (4,)"
+    with pytest.raises(InvariantError) as raised:
+        parse_problem(doc)
+    assert str(raised.value) == message
+    flags = _flags((5, 1, 1), "--r", "2", "--chi1-exps", "1", "--chi2-exps", "1",
+                   "--chi-cyclotomic", "--chi2-unramified")
+    for command in ("lv", "profile", "oracle"):
+        assert run_command([command, *flags]) == 2, command
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
 
 
 def test_chi2_unramified_is_checked_for_flags_and_documents(capsys, tmp_path):
@@ -764,7 +856,7 @@ def test_parse_problem_rejects_non_divisor_e_m():
         "chi2": {"exps": [0, 0]},
         "e_m": 3,
     }
-    with pytest.raises(InvariantError, match="must divide"):
+    with pytest.raises(InvalidEM, match=r"^e_M = 3 does not divide p\^f - 1 = 8$"):
         parse_problem(doc)
 
 
@@ -955,6 +1047,58 @@ def test_verify_reports_jump_profile_mutations(
     assert code == 1
     by_name = {prop["name"]: prop for prop in doc["properties"]}
     assert {name for name, prop in by_name.items() if prop["failures"]} == failing
+    for name in failing:
+        assert by_name[name]["first_counterexample"]
+
+
+def _window_off_by_one(real):
+    def corrupted(params, chi, j):
+        return real(params, chi, j) + (j == 0)
+    return corrupted
+
+
+def _without_last_alpha(real):
+    def corrupted(params, chi):
+        labels = list(real(params, chi))
+        alphas = [k for k, label in enumerate(labels) if label.is_alpha]
+        if alphas:
+            del labels[alphas[-1]]
+        return tuple(labels)
+    return corrupted
+
+
+def _twisted_label_dropped(real):
+    def corrupted(params, weight, chi1, chi2, *rest, **kwargs):
+        result = real(params, weight, chi1, chi2, *rest, **kwargs)
+        if any(weight.theta):
+            return result._replace(labels=result.labels[:-1])
+        return result
+    return corrupted
+
+
+@pytest.mark.parametrize("seam, corrupt, failing", [
+    ("window_cardinality", _window_off_by_one, {"window_count": 16}),
+    ("w_prime", lambda real: lambda params, chi: real(params, chi)[:-1],
+     {"w_prime_cardinality": 16}),
+    ("basis_labels", _without_last_alpha,
+     {"basis_cardinality": 16, "labels_within_basis": 23}),
+    ("l_v_ah", _twisted_label_dropped, {"twist_invariance": 1}),
+], ids=["window_count", "w_prime_cardinality", "basis_labels", "twist_invariance"])
+def test_verify_reports_count_and_label_mutations(
+    capsys, monkeypatch, seam, corrupt, failing
+):
+    """Each corrupted helper fails exactly the properties that read it, in
+    the number of instances given; the helpers never break on their own,
+    so only a seam shows that verify reports them."""
+    monkeypatch.setattr(io_cli, seam, corrupt(getattr(io_cli, seam)))
+    code, doc = run_json(
+        capsys, ["verify", "--p-max", "3", "--e-max", "1", "--f-max", "2"]
+    )
+    assert code == 1
+    by_name = {prop["name"]: prop for prop in doc["properties"]}
+    assert {
+        name: prop["failures"] for name, prop in by_name.items() if prop["failures"]
+    } == failing
     for name in failing:
         assert by_name[name]["first_counterexample"]
 
