@@ -29,6 +29,7 @@ import io
 import os
 import sys
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import (
     TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -539,13 +540,18 @@ def _cell_spec(cell: Tuple[int, int, int], index: int) -> GridSpec:
     return (p, e, f, chi2_class, tuple(r))
 
 
-def _grid(args) -> Tuple[List[Tuple[int, int, int]], List[GridSpec]]:
-    """The cells of --p-max/--e-max/--f-max and their grid points, of which
-    every stride-th is kept beyond --max-instances (0: no limit).
+def _grid(args) -> Tuple[List[Tuple[int, int, int]], int, Callable[..., Iterator[GridSpec]]]:
+    """The cells of --p-max/--e-max/--f-max, the number of grid points kept,
+    and a walk of the kept points: every stride-th point of the whole grid
+    beyond --max-instances (0: no limit).
 
-    The cell sizes give the stride before any point is built, and only the
-    kept points are built.  A bound that selects no cell, or
-    a --p-max past the grid's largest prime, is invalid input.
+    The cell sizes give the stride and the count, and no point is built
+    until a walk is read, so memory stays flat in the size of the grid.
+    ``walk(every)`` starts a new walk of the kept points 0, every,
+    2*every, ...; the k-th kept point is the point at index k*stride of the
+    whole grid, listed cell by cell.  A bound that selects no cell, or a
+    --p-max past the grid's largest prime, is invalid input, raised here
+    and not when a walk is read.
     """
     for flag, value, low in (
         ("--max-instances", args.max_instances, 0),
@@ -562,13 +568,17 @@ def _grid(args) -> Tuple[List[Tuple[int, int, int]], List[GridSpec]]:
     stride = 1
     if args.max_instances and total > args.max_instances:
         stride = -(-total // args.max_instances)
-    specs = []
-    start = 0  # the index of the cell's first point in the whole grid
-    for cell in cells:
-        size = _cell_size(cell)
-        specs += [_cell_spec(cell, k) for k in range(-start % stride, size, stride)]
-        start += size
-    return cells, specs
+
+    def walk(every: int = 1) -> Iterator[GridSpec]:
+        step = stride * every
+        start = 0  # the index of the cell's first point in the whole grid
+        for cell in cells:
+            size = _cell_size(cell)
+            for k in range(-start % step, size, step):
+                yield _cell_spec(cell, k)
+            start += size
+
+    return cells, -(-total // stride), walk
 
 
 def _grid_pair(
@@ -607,7 +617,8 @@ def _worker_count(jobs: int) -> int:
 
 def _mapped(jobs: int, *maps) -> Iterator:
     """The results of each (function, items, chunksize) in order: in this
-    process for one worker, else in one pool shared by all the maps."""
+    process for one worker, else in one pool shared by all the maps.  The
+    items may be a generator; neither path makes a list of them."""
     if jobs == 1:
         for function, items, _ in maps:
             yield from map(function, items)
@@ -616,7 +627,7 @@ def _mapped(jobs: int, *maps) -> Iterator:
 
     with Pool(jobs) as pool:
         for function, items, chunksize in maps:
-            yield from pool.map(function, items, chunksize=chunksize)
+            yield from pool.imap(function, items, chunksize)
 
 
 def _joined(values) -> str:
@@ -648,14 +659,16 @@ def cmd_sweep(args) -> Tuple[None, int]:
 
     jobs = _worker_count(args.jobs)
     _check_out(args.out)
-    _, specs = _grid(args)
-    rows = list(_mapped(jobs, (_sweep_worker, specs, 64)))
+    _, _, walk = _grid(args)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SWEEP_HEADER)
-    writer.writerows(rows)
+    ok = True
+    for row in _mapped(jobs, (_sweep_worker, walk(), 64)):
+        writer.writerow(row)
+        ok &= row[-1] == "1"
     _write(buffer.getvalue(), args.out)
-    return None, 0 if all(row[-1] == "1" for row in rows) else 1
+    return None, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +816,16 @@ def _pair_checks(spec: GridSpec) -> Iterator[str]:
         yield "lv_alpha_labels"
 
 
+# The twist sample: every 17th kept grid point.
+_TWIST_EVERY = 17
+
+
+def _twist_job(index: int, spec: GridSpec) -> Tuple[GridSpec, Tuple[int, ...]]:
+    """The index-th kept point, twisted by theta_i = (index + i) mod (p - 1)."""
+    p, _, f, _, _ = spec
+    return spec, tuple((index + i) % (p - 1) if p > 2 else 0 for i in range(f))
+
+
 def _verify_twist_instance(job: Tuple[GridSpec, Tuple[int, ...]]) -> List[Tuple[str, str]]:
     spec, theta = job
     return _checked(
@@ -858,29 +881,29 @@ def _oracle_checks(spec: GridSpec, mu: UnramifiedPart) -> Iterator[str]:
 def cmd_verify(args) -> Tuple[dict, int]:
     jobs = _worker_count(args.jobs)
     _check_out(args.out)
-    cells, specs = _grid(args)
-    twist_jobs = []
-    for index in range(0, len(specs), 17):  # deterministic sample, every 17th point
-        p, _, f, _, _ = specs[index]
-        theta = tuple((index + i) % (p - 1) if p > 2 else 0 for i in range(f))
-        twist_jobs.append((specs[index], theta))
+    cells, kept, walk = _grid(args)
     oracle_jobs = []
     if args.with_oracle:
         for cell in _grid_cells(min(args.p_max, 3), min(args.e_max, 2), min(args.f_max, 2)):
             for spec in _cell_instances(cell):
                 oracle_jobs += [(spec, mu) for mu in _ORACLE_MUS[cell[0]]]
+    twist_jobs = map(_twist_job, count(0, _TWIST_EVERY), walk(_TWIST_EVERY))
     names = [n for n in _PROPERTIES if args.with_oracle or n != "oracle_agreement"]
-    by_name = {name: [] for name in names}
+    # A failure count and the first counterexample per property: nothing
+    # kept grows with the grid.
+    failures = dict.fromkeys(names, 0)
+    first = {}
     for found in _mapped(
         jobs,
         (_verify_character_cell, cells, 1),
-        (_verify_pair_instance, specs, 64),
+        (_verify_pair_instance, walk(), 64),
         (_verify_twist_instance, twist_jobs, 16),
         (_verify_oracle_instance, oracle_jobs, 2),
     ):
         for name, where in found:
-            by_name[name].append(where)
-    failed = any(by_name.values())
+            failures[name] += 1
+            first.setdefault(name, where)
+    failed = bool(first)
     report = {
         "command": "verify",
         "grid": {
@@ -889,16 +912,16 @@ def cmd_verify(args) -> Tuple[dict, int]:
             "f_max": args.f_max,
             "with_oracle": bool(args.with_oracle),
         },
-        "pair_instances": len(specs),
-        "twist_instances": len(twist_jobs),
+        "pair_instances": kept,
+        "twist_instances": -(-kept // _TWIST_EVERY),
         "oracle_instances": len(oracle_jobs),
         "properties": [
             {
                 "name": name,
-                "failures": len(cases),
-                "first_counterexample": cases[0] if cases else None,
+                "failures": failures[name],
+                "first_counterexample": first.get(name),
             }
-            for name, cases in by_name.items()
+            for name in names
         ],
         "status": "failed" if failed else "ok",
     }

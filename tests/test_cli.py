@@ -11,7 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -978,6 +978,16 @@ def test_sweep_covers_the_grid(tmp_path):
     assert all(row.endswith(",1") for row in lines[1:])
 
 
+def test_verify_independent_of_jobs(tmp_path, monkeypatch):
+    """The pool path, fed lazily, reports the same bytes as one process."""
+    monkeypatch.setattr(io_cli.os, "cpu_count", lambda: 2)
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    base = ["verify", "--p-max", "3", "--e-max", "2", "--f-max", "2", "--with-oracle"]
+    assert run_command(base + ["--jobs", "1", "--out", str(one)]) == 0
+    assert run_command(base + ["--jobs", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_sweep_independent_of_jobs(tmp_path):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     base = ["sweep", "--p-max", "2", "--e-max", "2", "--f-max", "2"]
@@ -1144,8 +1154,9 @@ def test_verify_counts_each_failing_instance_once(capsys, monkeypatch):
 
 def test_verify_reports_a_j_min_that_is_not_least(capsys, monkeypatch):
     """With J_min reported as all of [0, f), j_min_least fails at exactly
-    the points with a valid shift subset other than the full set, and no
-    other property moves."""
+    the points with a valid shift subset other than the full set, the
+    first of them in grid order is its counterexample, and no other
+    property moves."""
     real = io_cli.ts_profile
 
     def full(params, weight_r, chi1, chi2):
@@ -1158,16 +1169,21 @@ def test_verify_reports_a_j_min_that_is_not_least(capsys, monkeypatch):
     )
     assert code == 1
     counts = {prop["name"]: prop["failures"] for prop in doc["properties"]}
-    expected = 0
+    firsts = {prop["name"]: prop["first_counterexample"] for prop in doc["properties"]}
+    expected, first = 0, None
     for p, e, f in io_cli._grid_cells(3, 1, 2):
         params = FieldParams(p, e, f)
         for cls2 in range(params.tame_order):
             m = reduced_exponents(params, character(params, (cls2,) + (0,) * (f - 1)))
             for r in product(range(1, p + 1), repeat=f):
                 subsets = oracles.valid_shift_subsets(p, e, f, r, m)
-                expected += any(len(subset) < f for subset in subsets)
+                if any(len(subset) < f for subset in subsets):
+                    expected += 1
+                    first = first or f"p={p} e={e} f={f} chi2_class={cls2} r={r}"
     assert counts.pop("j_min_least") == expected > 0
+    assert firsts.pop("j_min_least") == first == "p=2 e=1 f=1 chi2_class=0 r=(1,)"
     assert all(count == 0 for count in counts.values())
+    assert all(where is None for where in firsts.values())
 
 
 def test_a_label_dropped_from_j_v_ah_leaves_l_v_ah_and_lv(capsys, monkeypatch):
@@ -1508,6 +1524,20 @@ def test_grid_bound_outside_the_grid_exits_2(capsys, monkeypatch, command, flags
     assert capsys.readouterr() == ("", f"invalid input: {message}\n")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("bounds", [("7", "6", "4"), ("13", "12", "2")], ids=["p7-f4", "p13-e12"])
+def test_verify_holds_on_a_stride_sample_of_the_ramified_grid(capsys, bounds):
+    """A stride sample of the grids that reach e >= p - 1 at p = 7, f = 4
+    and at p = 13, where the whole grid has tens of millions of points."""
+    p_max, e_max, f_max = bounds
+    code, doc = run_json(capsys, [
+        "verify", "--p-max", p_max, "--e-max", e_max, "--f-max", f_max,
+        "--with-oracle", "--jobs", "1", "--max-instances", "5000",
+    ])
+    assert (code, doc["status"]) == (0, "ok")
+    assert 0 < doc["pair_instances"] <= 5000
+
+
 def test_grid_runs_every_prime_up_to_13(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_command(["sweep", "--p-max", "13", "--e-max", "1", "--f-max", "1",
@@ -1523,8 +1553,9 @@ def test_grid_runs_every_prime_up_to_13(tmp_path):
     (5, 2, 2, 1), (13, 1, 2, 500), (7, 2, 3, 333), (3, 1, 2, 0),
 ])
 def test_grid_builds_only_the_kept_points(p_max, e_max, f_max, limit):
-    """The points ``_grid`` builds are every stride-th of the whole grid,
-    listed cell by cell, chi2 class by class, r in lexicographic order."""
+    """The points ``_grid``'s walk builds are every stride-th of the whole
+    grid, listed cell by cell, chi2 class by class, r in lexicographic
+    order, and its count is theirs."""
     args = argparse.Namespace(p_max=p_max, e_max=e_max, f_max=f_max, max_instances=limit)
     cells = io_cli._grid_cells(p_max, e_max, f_max)
     specs = [
@@ -1536,4 +1567,76 @@ def test_grid_builds_only_the_kept_points(p_max, e_max, f_max, limit):
     assert [spec for cell in cells for spec in io_cli._cell_instances(cell)] == specs
     if limit and len(specs) > limit:
         specs = specs[::-(-len(specs) // limit)]
-    assert io_cli._grid(args) == (cells, specs)
+    found_cells, kept, walk = io_cli._grid(args)
+    assert (found_cells, kept, list(walk())) == (cells, len(specs), specs)
+    assert list(walk(17)) == specs[::17]  # the twist sample
+
+
+def test_verify_twists_every_17th_kept_point(capsys, monkeypatch):
+    """The twist jobs are the kept points 0, 17, 34, ..., the k-th twisted
+    by theta_i = (k + i) mod (p - 1), and theta = 0 at p = 2."""
+    jobs = []
+    real = io_cli._verify_twist_instance
+
+    def recorded(job):
+        jobs.append(job)
+        return real(job)
+
+    monkeypatch.setattr(io_cli, "_verify_twist_instance", recorded)
+    code, doc = run_json(capsys, [
+        "verify", "--p-max", "7", "--e-max", "1", "--f-max", "2", "--max-instances", "300",
+    ])
+    assert code == 0
+    # 17 = 1 mod 4, so the index would not matter at p <= 5 alone
+    args = argparse.Namespace(p_max=7, e_max=1, f_max=2, max_instances=300)
+    specs = list(io_cli._grid(args)[2]())
+    want = [
+        (spec, tuple((k + i) % (spec[0] - 1) if spec[0] > 2 else 0 for i in range(spec[2])))
+        for k, spec in list(enumerate(specs))[::17]
+    ]
+    assert (len(specs), doc["twist_instances"]) == (283, 17)
+    assert jobs == want
+
+
+def test_sweep_exits_1_when_a_row_fails(tmp_path, monkeypatch):
+    """A brute-force route that drops its greatest label fails exactly the
+    rows with a nonempty label set, and sweep still writes every row."""
+    real = io_cli.j_v_ah_bruteforce
+
+    def lossy(params, profile, chi, e_m=None):
+        labels = real(params, profile, chi, e_m)
+        return labels - {max(labels, key=io_cli.BasisLabel.sort_key)} if labels else labels
+
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--p-max", "2", "--e-max", "2", "--f-max", "2", "--out", str(out)]
+    assert run_command(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    monkeypatch.setattr(io_cli, "j_v_ah_bruteforce", lossy)
+    assert run_command(argv) == 1
+    failed = out.read_text().splitlines()[1:]
+    assert len(failed) == len(rows) == 28
+    labelled = [row.split(",")[8] != "0" for row in rows]
+    assert [row.endswith(",0") for row in failed] == labelled
+    assert any(labelled)
+
+
+def test_grid_builds_a_point_only_when_the_walk_reads_it(monkeypatch):
+    """``_grid`` builds no point; reading k points of a walk builds k."""
+    built = []
+    real = io_cli._cell_spec
+
+    def counted(cell, index):
+        built.append((cell, index))
+        return real(cell, index)
+
+    monkeypatch.setattr(io_cli, "_cell_spec", counted)
+    args = argparse.Namespace(p_max=7, e_max=2, f_max=2, max_instances=300)
+    cells, kept, walk = io_cli._grid(args)
+    assert (len(cells), kept) == (16, 296)
+    points = walk()
+    assert built == []
+    for k in (1, 5, 100):
+        assert len(list(islice(walk(), k))) == k
+        assert len(built) == k
+        built.clear()
+    assert sum(1 for _ in points) == len(built) == kept
