@@ -6,19 +6,19 @@ decreasing ramification filtration.  The graded piece at level s is nonzero
 only at s = 0 (trivial character), at the top boundary s = 1 + ep/(p-1)
 (cyclotomic character), and at the rational levels s = 1 + m/(p^f - 1) with
 0 < m < ep(p^f - 1)/(p - 1), p not dividing m, and m congruent to one of
-the twisted digit sums n_i modulo p^f - 1.  At such interior levels the
-dimension equals the number of matching indices i, which is 0 or f/f'.
-
-All level arithmetic is exact via ``fractions.Fraction``.
+the twisted digit sums n_i modulo p^f - 1: the set W' kept on the
+signature's record.  There the dimension is f'' = f/f'.  Each level is a
+``fractions.Fraction`` built once, from its integer numerator m.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from typing import NamedTuple, Tuple, Union
 
 from .errors import InternalInvariantViolation, InvalidInput, InvariantError
-from .tame_chars import CharacterData, FieldParams, _derived, _matching_numerators
+from .tame_chars import CharacterData, FieldParams, _derived, _w_prime
 
 Level = Union[int, Fraction]
 
@@ -70,21 +70,23 @@ def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
     m = (s - 1) * params.tame_order
     if m.denominator != 1 or m.numerator % params.p == 0:
         return 0
-    return _derived(params, chi.signature).counts.get(m.numerator % params.tame_order, 0)
+    derived = _derived(params, chi.signature)
+    return derived.niveau[1] if m.numerator % params.tame_order in derived.index_of else 0
 
 
 def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
     """Enumerate every jump and check the total against ``h1_dimension``.
 
-    Each interior dimension is a count of chi's signature record, which
-    ``_derived`` checked to be f'' when it built the record.
+    The interior jumps are W', each of dimension f'', which ``_derived``
+    checked when it built chi's signature record.
     """
     q1 = params.tame_order
+    f_dprime = _derived(params, chi.signature).niveau[1]
     entries = []
     if chi.declared_trivial:
         entries.append((Fraction(0), 1))
-    for m, d in _matching_numerators(params, chi.signature, 0, params.window_top):
-        entries.append((Fraction(m + q1, q1), d))
+    for m in _w_prime(params, chi.signature):
+        entries.append((Fraction(m + q1, q1), f_dprime))
     if chi.declared_cyclotomic:
         entries.append((_top_level(params), 1))
     profile = JumpProfile(tuple(entries), sum(d for _, d in entries))
@@ -98,9 +100,11 @@ def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
 
 def window_cardinality(params: FieldParams, chi: CharacterData, j: int) -> int:
     """Count pairs (m, i) with jp/(p-1) < m/(p^f - 1) < (j+1)p/(p-1),
-    p not dividing m, and m congruent to n_i; always equals f."""
+    p not dividing m, and m congruent to n_i; always equals f.  That is f''
+    times the W' entries in (j*p*R, (j+1)*p*R), whose ends p divides."""
     if not 0 <= j < params.e:
         raise InvalidInput(f"window index must lie in [0, e), got {j}")
     lo = j * params.p * params.repunit
-    hi = (j + 1) * params.p * params.repunit
-    return sum(d for _, d in _matching_numerators(params, chi.signature, lo, hi))
+    hi = lo + params.p * params.repunit
+    w = _w_prime(params, chi.signature)
+    return _derived(params, chi.signature).niveau[1] * (bisect(w, hi) - bisect(w, lo))

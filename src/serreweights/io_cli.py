@@ -35,7 +35,7 @@ from typing import (
     TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 )
 
-from .cohomology import _top_level, h1_dimension, jump_profile, window_cardinality
+from .cohomology import h1_dimension, jump_profile, window_cardinality
 from .errors import (
     InternalInvariantViolation,
     InvalidInput,
@@ -669,8 +669,8 @@ def cmd_sweep(args) -> Tuple[None, int]:
     import csv
 
     jobs = _worker_count(args.jobs)
-    _check_out(args.out)
     _, _, walk = _grid(args)
+    _check_out(args.out)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_SWEEP_HEADER)
@@ -727,10 +727,11 @@ def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
     """Character-level properties over every signature class of one cell."""
     p, e, f = cell
     params = FieldParams(p, e, f)
+    cyclotomic = cyclotomic_inertia_signature(params)
     failures = []
     for cls in range(params.tame_order):
         chis = [character(params, (cls,) + (0,) * (f - 1))]
-        if p > 2 and chis[0].signature == cyclotomic_inertia_signature(params):
+        if p > 2 and chis[0].signature == cyclotomic:
             chis.append(character(params, (cls,) + (0,) * (f - 1), cyclotomic=True))
         for chi in chis:
             failures += _checked(
@@ -746,9 +747,9 @@ def _character_checks(params: FieldParams, chi: CharacterData) -> Iterator[str]:
     h1 = h1_dimension(params, chi)
     if profile.total != h1:
         yield "dimension_sum"
-    top = _top_level(params)
     f_prime, f_dprime = niveau(params, chi.signature)
-    if any(0 < s < top and d != f_dprime for s, d in profile.entries):
+    interior_end = len(profile.entries) - chi.declared_cyclotomic
+    if any(d != f_dprime for _, d in profile.entries[chi.declared_trivial:interior_end]):
         yield "jump_size"
     if any(window_cardinality(params, chi, j) != f for j in range(e)):
         yield "window_count"
@@ -891,8 +892,8 @@ def _oracle_checks(spec: GridSpec, mu: UnramifiedPart) -> Iterator[str]:
 
 def cmd_verify(args) -> Tuple[dict, int]:
     jobs = _worker_count(args.jobs)
-    _check_out(args.out)
     cells, kept, walk = _grid(args)
+    _check_out(args.out)
     oracle_jobs = []
     if args.with_oracle:
         for cell in _grid_cells(min(args.p_max, 3), min(args.e_max, 2), min(args.f_max, 2)):

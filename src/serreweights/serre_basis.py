@@ -30,7 +30,7 @@ from .tame_chars import (
     CharacterData,
     FieldParams,
     _derived,
-    _matching_numerators,
+    _w_prime,
     char_quotient,
     exponent_class,
     is_unramified,
@@ -89,15 +89,8 @@ class BasisLabel(NamedTuple):
 
 def w_prime(params: FieldParams, chi: CharacterData) -> Tuple[int, ...]:
     """The interior jump numerators in (0, e*p*R), ascending; |W'| = e*f'.
-
-    Built on the first call for a signature and kept on its cached record,
-    so commands that never read W' never build it.
-    """
-    derived = _derived(params, chi.signature)
-    if derived.w_prime is None:
-        walk = _matching_numerators(params, chi.signature, 0, params.window_top)
-        derived.w_prime = tuple(m for m, _ in walk)
-    return derived.w_prime
+    The tuple kept on chi's signature record, which the jumps also read."""
+    return _w_prime(params, chi.signature)
 
 
 def basis_labels(params: FieldParams, chi: CharacterData) -> Tuple[BasisLabel, ...]:

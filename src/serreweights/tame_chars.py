@@ -214,24 +214,21 @@ def niveau(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
 class _Derived:
     """What the signature determines, computed once per (p, e, f, signature).
 
-    ``index_of`` maps n_i mod (p^f - 1) to i for i in [0, f').  ``counts``
-    maps each residue to the number of i in [0, f) with that residue.  A
-    record exists only once ``_derived`` has checked that those f' residues
-    are distinct and each is taken by exactly f'' of the n_i, so its readers
-    trust both facts.  ``w_prime`` is the index set W'
-    (``serre_basis.w_prime``): None until the first call that reads it,
-    which builds it and stores it here.  ``alphas`` is the sorted tuple of
-    alpha labels (m, k) over W' (``serre_basis.basis_labels``), kept the
-    same way.
+    ``index_of`` maps n_i mod (p^f - 1) to i for i in [0, f').  A record
+    exists only once ``_derived`` has checked that those f' residues are
+    distinct and each is taken by exactly f'' of the n_i, so its readers
+    trust both facts.  ``w_prime`` is the index set W' (``_w_prime``): None
+    until the first call that reads it, which builds it and stores it here.
+    ``alphas`` is the sorted tuple of alpha labels (m, k) over W'
+    (``serre_basis.basis_labels``), kept the same way.
     """
 
-    __slots__ = ("n", "niveau", "index_of", "counts", "w_prime", "alphas")
+    __slots__ = ("n", "niveau", "index_of", "w_prime", "alphas")
 
-    def __init__(self, n, niveau, index_of, counts) -> None:
+    def __init__(self, n, niveau, index_of) -> None:
         self.n: Tuple[int, ...] = n
         self.niveau: Tuple[int, int] = niveau
         self.index_of: Dict[int, int] = index_of
-        self.counts: Dict[int, int] = counts
         self.w_prime: Optional[Tuple[int, ...]] = None
         self.alphas: Optional[tuple] = None
 
@@ -254,16 +251,15 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
     f_prime = next(d for d in range(1, f + 1) if f % d == 0 and a[d:] + a[:d] == a)
     f_dprime = f // f_prime
     index_of = {n[i] % q1: i for i in range(f_prime)}
-    counts = Counter(ni % q1 for ni in n)
     if len(index_of) != f_prime:
         raise InternalInvariantViolation(
             f"n_0..n_{f_prime - 1} of {a} are not distinct mod {q1}"
         )
-    if any(count != f_dprime for count in counts.values()):
+    if any(count != f_dprime for count in Counter(ni % q1 for ni in n).values()):
         raise InternalInvariantViolation(
             f"the residues of the n_i of {a} are not each taken f'' = {f_dprime} times"
         )
-    return _Derived(n, (f_prime, f_dprime), index_of, counts)
+    return _Derived(n, (f_prime, f_dprime), index_of)
 
 
 def _twisted_sums(p: int, f: int, a) -> List[int]:
@@ -278,25 +274,19 @@ def _twisted_sums(p: int, f: int, a) -> List[int]:
     return sums
 
 
-def _matching_numerators(
-    params: FieldParams, sig: TameSignature, lo: int, hi: int
-) -> List[Tuple[int, int]]:
-    """Pairs (m, #{i in [0, f) : m = n_i mod p^f - 1}) with a nonzero count,
-    over lo < m < hi with p not dividing m, ascending in m.
-
-    Each residue class of the n_i is walked upward in steps of p^f - 1 from
-    its least member above ``lo`` (for residue 0 and lo = 0 that is p^f - 1),
-    so the work is the number of terms, not the length of the range.
-    """
-    p, q1 = params.p, params.tame_order
-    out = [
-        (m, count)
-        for residue, count in _derived(params, sig).counts.items()
-        for m in range(lo + 1 + (residue - lo - 1) % q1, hi, q1)
-        if m % p
-    ]
-    out.sort()
-    return out
+def _w_prime(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
+    """W', ascending: the m in (0, e*p*R) with p not dividing m and m
+    congruent to some n_i modulo p^f - 1, kept on the signature's record
+    from the first read.  Each residue is walked upward in steps of p^f - 1
+    from its least positive member, so the work is the number of terms."""
+    derived = _derived(params, sig)
+    if derived.w_prime is None:
+        p, q1 = params.p, params.tame_order
+        derived.w_prime = tuple(sorted(
+            m for residue in derived.index_of
+            for m in range(residue or q1, params.window_top, q1) if m % p
+        ))
+    return derived.w_prime
 
 
 # ---------------------------------------------------------------------------

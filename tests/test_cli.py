@@ -296,20 +296,40 @@ def test_pair_commands_answer_at_many_slots(capsys, f):
     assert doc["agree"] is True
 
 
-def test_dims_never_builds_w_prime(capsys, monkeypatch):
-    """W' is built on the first ``w_prime`` call, not with the signature's
-    record: dims runs with W''s walk broken, and basis, which lists W',
-    reaches it."""
-    def broken(*args):
-        raise AssertionError("W' was built")
+def test_w_prime_is_walked_once_and_read_by_every_index_reader(capsys, monkeypatch):
+    """W' is built on the first read of a signature's record, not with the
+    record: profile leaves it unset, dims fills it, and basis, ``w_prime``,
+    ``jump_profile`` and ``window_cardinality`` then read that one tuple."""
+    tame_chars._derived.cache_clear()
+    params = FieldParams(3, 1000, 1)
+    cell = ["--p", "3", "--e", "1000", "--f", "1"]
+    code, _ = run_json(capsys, ["profile", *cell, "--r=2", "--chi1-exps=1", "--chi2-exps=0"])
+    assert code == 0
+    cached = tame_chars._derived.cache_info().currsize
+    records = [tame_chars._derived(params, tame_chars.TameSignature((a,))) for a in (1, 2)]
+    assert tame_chars._derived.cache_info().currsize == cached  # both were built
+    assert [record.w_prime for record in records] == [None, None]
 
-    serreweights.tame_chars._derived.cache_clear()
-    monkeypatch.setattr(serreweights.serre_basis, "_matching_numerators", broken)
-    flags = ["--p", "3", "--e", "1000", "--f", "1", "--chi-exps=1"]
-    code, doc = run_json(capsys, ["dims", *flags])
+    read = []
+
+    def spy(real):
+        def reading(*args):
+            read.append(real(*args))
+            return read[-1]
+        return reading
+
+    for module in (serreweights.cohomology, serre_basis):
+        monkeypatch.setattr(module, "_w_prime", spy(module._w_prime))
+    code, doc = run_json(capsys, ["dims", *cell, "--chi-exps=1"])
     assert code == 0 and doc["windows"] == [1] * 1000
-    with pytest.raises(AssertionError, match="W' was built"):
-        run_command(["basis", *flags])
+    walked = records[0].w_prime
+    assert walked is not None and records[1].w_prime is None
+    assert run_command(["basis", *cell, "--chi-exps=1"]) == 0
+    chi = character(params, (1,))
+    assert serreweights.w_prime(params, chi) is walked
+    serreweights.jump_profile(params, chi)
+    serreweights.window_cardinality(params, chi, 999)
+    assert len(read) > 1000 and all(w is walked for w in read)
 
 
 # The deepest spanning monomial sits at degree -p, so the truncation is p
@@ -1557,16 +1577,20 @@ def test_patched_ts_profile_takes_effect_after_a_cached_call(monkeypatch):
     (["--p-max", "2", "--e-max", "1", "--f-max", "0"], "--f-max must be >= 1, got 0"),
 ], ids=["p-low", "p-high", "e", "f"])
 @pytest.mark.parametrize("command", ["verify", "sweep"])
-def test_grid_bound_outside_the_grid_exits_2(capsys, monkeypatch, command, flags, message):
+def test_grid_bound_outside_the_grid_exits_2(
+    capsys, monkeypatch, tmp_path, command, flags, message
+):
     """A bound that selects no cell, or primes the grid does not have, is
-    invalid input, raised before any cell is listed."""
+    invalid input, raised before any cell is listed or --out is created."""
 
     def no_cells(*args):
         raise AssertionError("a cell was listed")
 
     monkeypatch.setattr(io_cli, "_grid_cells", no_cells)
-    assert run_command([command] + flags) == 2
+    out = tmp_path / "report"
+    assert run_command([command] + flags + ["--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.slow
