@@ -67,11 +67,12 @@ def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
         return int(chi.declared_cyclotomic)
     if not 1 < s < top:
         return 0
-    m = (s - 1) * params.tame_order
+    q1 = params.tame_order
+    m = (s - 1) * q1
     if m.denominator != 1 or m.numerator % params.p == 0:
         return 0
     derived = _derived(params, chi.signature)
-    return derived.niveau[1] if m.numerator % params.tame_order in derived.index_of else 0
+    return derived.niveau[1] if m.numerator % q1 in derived.index_of else 0
 
 
 def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
@@ -104,7 +105,8 @@ def window_cardinality(params: FieldParams, chi: CharacterData, j: int) -> int:
     times the W' entries in (j*p*R, (j+1)*p*R), whose ends p divides."""
     if not 0 <= j < params.e:
         raise InvalidInput(f"window index must lie in [0, e), got {j}")
-    lo = j * params.p * params.repunit
-    hi = lo + params.p * params.repunit
+    width = params.p * params.repunit
+    lo = j * width
+    hi = lo + width
     w = _w_prime(params, chi.signature)
     return _derived(params, chi.signature).niveau[1] * (bisect(w, hi) - bisect(w, lo))

@@ -29,6 +29,7 @@ import io
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd
 from typing import (
@@ -592,6 +593,14 @@ def _grid(args) -> Tuple[List[Tuple[int, int, int]], int, Callable[..., Iterator
     return cells, -(-total // stride), walk
 
 
+@lru_cache(maxsize=1)
+def _cell_params(p: int, e: int, f: int) -> FieldParams:
+    """The FieldParams of a grid cell, built once per run of its points,
+    not once per point: a walk lists the grid cell by cell, so one entry
+    holds the cell in hand."""
+    return FieldParams(p, e, f)
+
+
 def _grid_pair(
     spec: GridSpec, unram: UnramifiedPart = UnramifiedPart()
 ) -> Tuple[FieldParams, CharacterData, CharacterData]:
@@ -604,7 +613,7 @@ def _grid_pair(
     raises NoValidShift (or MinimalityAmbiguous), as ``ts_profile`` would.
     """
     p, e, f, chi2_class, r = spec
-    params = FieldParams(p, e, f)
+    params = _cell_params(p, e, f)
     zeros = (0,) * (f - 1)
     chi2 = character(params, (chi2_class,) + zeros)
     _least_shift(params, r, reduced_exponents(params, chi2))  # both in range
@@ -726,7 +735,7 @@ def _where(spec: GridSpec) -> str:
 def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
     """Character-level properties over every signature class of one cell."""
     p, e, f = cell
-    params = FieldParams(p, e, f)
+    params = _cell_params(p, e, f)
     cyclotomic = cyclotomic_inertia_signature(params)
     failures = []
     for cls in range(params.tame_order):
@@ -798,18 +807,19 @@ def _pair_checks(spec: GridSpec) -> Iterator[str]:
                 subset.add(i)
                 shifted[i] -= 1
                 shifted[(i + 1) % f] += p
-        if not profile.j_min <= subset and all(
-            _admissible(e, ri, x) for ri, x in zip(r, shifted)
-        ):
-            yield "j_min_least"
+        if not profile.j_min <= subset:
+            for ri, x in zip(r, shifted):
+                if not (0 <= x < e or ri <= x < ri + e):  # _admissible
+                    break
+            else:
+                yield "j_min_least"
     constructive = j_v_ah(params, profile, chi)
     bruteforce = j_v_ah_bruteforce(params, profile, chi)
     if bruteforce != constructive:
         yield "constructive_vs_bruteforce"
     if len(constructive) != profile.interval_total():
         yield "j_size_equals_interval_total"
-    labels = set(basis_labels(params, chi))
-    if any(label not in labels for label in constructive):
+    if not constructive <= set(basis_labels(params, chi)):
         yield "labels_within_basis"
     if bruteforce != constructive:  # e_M = p^f - 1, the default runs above
         yield "e_m_independence"

@@ -18,6 +18,7 @@ Both must agree, and their common cardinality must be sum_i |I_i|.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -150,23 +151,18 @@ def _route_e_m(
 ) -> int:
     """The entry check of the label routes: the e_M they run at (p^f - 1
     when not given), checked by ``validate_e_m``, with the profile's s - t,
-    when given, in chi's class."""
+    when given, in chi's class.  At e_M = p^f - 1 the cofactor is 1, which
+    divides every n_i, so ``validate_e_m`` would pass and is not run."""
+    q1 = params.tame_order
     if e_m is None:
-        e_m = params.tame_order
-    validate_e_m(params, chi, e_m)
+        e_m = q1
+    elif e_m != q1:
+        validate_e_m(params, chi, e_m)
     if profile is not None:
-        diff = tuple(si - ti for si, ti in zip(profile.s, profile.t))
+        diff = tuple(map(sub, profile.s, profile.t))
         if exponent_class(params, diff) != signature_class(params, chi.signature):
             raise InvalidInput("profile and character disagree on the quotient class")
     return e_m
-
-
-def _p_valuation(p: int, x: int) -> int:
-    j = 0
-    while x % p == 0:
-        x //= p
-        j += 1
-    return j
 
 
 def j_v_ah(
@@ -183,7 +179,7 @@ def j_v_ah(
     """
     e_m = _route_e_m(params, chi, e_m, profile)
     p, f = params.p, params.f
-    q1 = params.tame_order
+    q1, top = p**f - 1, params.window_top
     derived = _derived(params, chi.signature)
     f_prime, f_dprime = derived.niveau
     found: Dict[BasisLabel, Tuple[int, int]] = {}
@@ -193,9 +189,11 @@ def j_v_ah(
             if x <= 0:
                 # x = 0 is the trivial-chi extra degree; it never labels.
                 continue
-            j = _p_valuation(p, x)
-            a = x // p**j
-            if not 0 < a < params.window_top:
+            a, j = x, 0  # x = p^j a with p not dividing a
+            while a % p == 0:
+                a //= p
+                j += 1
+            if not 0 < a < top:
                 continue
             im = derived.index_of.get(a % q1)
             if im is None:
@@ -207,7 +205,9 @@ def j_v_ah(
                 raise InternalInvariantViolation(
                     f"no k solves i_m + k f' = i - j mod f for (i,d) = ({i},{d})"
                 )
-            label = BasisLabel.alpha(a, (delta // f_prime) % f_dprime)
+            label = tuple.__new__(  # BasisLabel.alpha, built inline
+                BasisLabel, (_ALPHA, a, (delta // f_prime) % f_dprime)
+            )
             if label in found:
                 raise InternalInvariantViolation(
                     f"(i,d) pairs {found[label]} and {(i, d)} collide on {label}"
@@ -236,11 +236,11 @@ def j_v_ah_bruteforce(
     """
     e_m = _route_e_m(params, chi, e_m, profile)
     p, f = params.p, params.f
-    q1 = params.tame_order
+    q1 = p**f - 1
     scale = q1 // e_m
     derived = _derived(params, chi.signature)
     f_prime, f_dprime = derived.niveau
-    xi_scaled = tuple(xi * e_m // q1 for xi in profile.xi)
+    xi_scaled = [xi * e_m // q1 for xi in profile.xi]
     j_bounds = []
     for xi in profile.xi:
         b, power = 0, p  # power = p^(b + 1)
@@ -261,7 +261,7 @@ def j_v_ah_bruteforce(
         residues = {res for pj, value, res in witnesses if pj * m_scaled == value}
         for k in range(f_dprime):
             if (im + k * f_prime) % f in residues:
-                labels.add(BasisLabel.alpha(m, k))
+                labels.add(tuple.__new__(BasisLabel, (_ALPHA, m, k)))
     return frozenset(labels)
 
 

@@ -155,12 +155,13 @@ def exponent_class(params: FieldParams, exps: Tuple[int, ...]) -> int:
     total = 0
     for c in exps[1:]:  # Horner: c_1 p^(f-1) + ... + c_{f-1} p
         total = (total + c) * p
-    return (total + exps[0]) % params.tame_order
+    return (total + exps[0]) % (p**f - 1)
 
 
 def signature_class(params: FieldParams, sig: TameSignature) -> int:
-    """Class modulo p^f - 1 of a digit signature (its 0-th twisted sum)."""
-    return _derived(params, sig).n[0] % params.tame_order
+    """Class modulo p^f - 1 of a digit signature (its 0-th twisted sum),
+    kept on the signature's record."""
+    return _derived(params, sig).cls
 
 
 def _signature_from_class(params: FieldParams, n_class: int) -> TameSignature:
@@ -214,6 +215,7 @@ def niveau(params: FieldParams, sig: TameSignature) -> Tuple[int, int]:
 class _Derived:
     """What the signature determines, computed once per (p, e, f, signature).
 
+    ``cls`` is the signature's class n_0 mod (p^f - 1) (``signature_class``).
     ``index_of`` maps n_i mod (p^f - 1) to i for i in [0, f').  A record
     exists only once ``_derived`` has checked that those f' residues are
     distinct and each is taken by exactly f'' of the n_i, so its readers
@@ -223,10 +225,11 @@ class _Derived:
     (``serre_basis.basis_labels``), kept the same way.
     """
 
-    __slots__ = ("n", "niveau", "index_of", "w_prime", "alphas")
+    __slots__ = ("n", "cls", "niveau", "index_of", "w_prime", "alphas")
 
-    def __init__(self, n, niveau, index_of) -> None:
+    def __init__(self, n, cls, niveau, index_of) -> None:
         self.n: Tuple[int, ...] = n
+        self.cls: int = cls
         self.niveau: Tuple[int, int] = niveau
         self.index_of: Dict[int, int] = index_of
         self.w_prime: Optional[Tuple[int, ...]] = None
@@ -239,8 +242,9 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
     checks the record's facts before it is kept.
 
     The cache is keyed by the two records, tuples that hash in C.  It holds
-    128 records, each of O(f) ints, plus e*f' ints for one whose W' was
-    asked for and e*f alpha labels for one whose basis was.  At 64 the
+    128 records, each of O(f) ints (n-values, class, niveau, index table),
+    plus e*f' ints for one whose W' was asked for and e*f alpha labels for
+    one whose basis was.  At 64 the
     p = 5, f = 3 cell of the verify grid, whose 124 signature classes recur
     once per chi2 class, evicted most records before their next use.
     """
@@ -259,7 +263,7 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
         raise InternalInvariantViolation(
             f"the residues of the n_i of {a} are not each taken f'' = {f_dprime} times"
         )
-    return _Derived(n, (f_prime, f_dprime), index_of)
+    return _Derived(n, n[0] % q1, (f_prime, f_dprime), index_of)
 
 
 def _twisted_sums(p: int, f: int, a) -> List[int]:
@@ -281,10 +285,10 @@ def _w_prime(params: FieldParams, sig: TameSignature) -> Tuple[int, ...]:
     from its least positive member, so the work is the number of terms."""
     derived = _derived(params, sig)
     if derived.w_prime is None:
-        p, q1 = params.p, params.tame_order
+        p, q1, top = params.p, params.tame_order, params.window_top
         derived.w_prime = tuple(sorted(
             m for residue in derived.index_of
-            for m in range(residue or q1, params.window_top, q1) if m % p
+            for m in range(residue or q1, top, q1) if m % p
         ))
     return derived.w_prime
 

@@ -79,8 +79,10 @@ def weight_from_r(params: FieldParams, r: Tuple[int, ...]) -> SerreWeight:
 def _validate_r(params: FieldParams, r: Tuple[int, ...]) -> None:
     if len(r) != params.f:
         raise InvalidInput(f"r must have length f = {params.f}")
-    if any(not 1 <= ri <= params.p for ri in r):
-        raise InvalidInput(f"r entries must lie in [1, p]: {r}")
+    p = params.p
+    for ri in r:
+        if not 1 <= ri <= p:
+            raise InvalidInput(f"r entries must lie in [1, p]: {r}")
 
 
 def twist_normalize(

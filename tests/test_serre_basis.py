@@ -26,6 +26,8 @@ from serreweights import (
     n_values,
     niveau,
     reduced_exponents,
+    rederive_jvah,
+    signature_class,
     ts_profile,
     validate_e_m,
     w_prime,
@@ -377,6 +379,51 @@ def test_validate_e_m_raises_exactly_off_the_valid_e_ms(p, f):
             else:
                 with pytest.raises(InvalidEM):
                     validate_e_m(params, chi, e_m)
+
+
+def _one_instance_per_quotient(p, f):
+    """(params, chi, profile) at the first grid point of the (p, 1, f) cell
+    for each quotient signature that the cell reaches."""
+    cell = (p, 1, f)
+    found = {}
+    for index in range(io_cli._cell_size(cell)):
+        try:
+            params, _, _, chi, profile = io_cli._grid_instance(
+                io_cli._cell_spec(cell, index)
+            )
+        except NoValidShift:
+            continue
+        found.setdefault(chi.signature, (params, chi, profile))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5) for f in (1, 2, 3)])
+def test_routes_raise_invalid_em_exactly_where_validate_e_m_does(p, f):
+    """The routes' entry check, ``_route_e_m``, runs ``validate_e_m`` for
+    every e_M but p^f - 1, where the cofactor 1 makes it vacuous: each route
+    raises InvalidEM exactly where ``validate_e_m`` does.  The class test
+    of s - t still runs at the default e_M: a profile whose s - t is not
+    chi's class raises InvalidInput at e_M = None and at e_M = p^f - 1."""
+    routes = (j_v_ah, j_v_ah_bruteforce, rederive_jvah)
+    for params, chi, profile in _one_instance_per_quotient(p, f):
+        q1 = params.tame_order
+        for e_m in range(-1, q1 + 3):
+            try:
+                validate_e_m(params, chi, e_m)
+            except InvalidEM:
+                for route in routes:
+                    with pytest.raises(InvalidEM):
+                        route(params, profile, chi, e_m)
+            else:
+                for route in routes:
+                    route(params, profile, chi, e_m)
+        if q1 == 1:
+            continue  # one class: no profile can miss it
+        wrong = character(params, (signature_class(params, chi.signature) + 1,) + (0,) * (f - 1))
+        for e_m in (None, q1):
+            for route in routes:
+                with pytest.raises(InvalidInput, match="disagree on the quotient class"):
+                    route(params, profile, wrong, e_m)
 
 
 def test_record_kept_alphas_do_not_carry_declarations():

@@ -254,6 +254,22 @@ def test_canonical_signature_matches_search(p, f):
         assert signature_class(params, sig) == cls % params.tame_order
 
 
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5) for f in (1, 2, 3)] + [(7, 2)])
+def test_signature_class_kept_on_the_record_is_the_exponent_class(p, f):
+    """``signature_class`` reads the class that ``_derived`` keeps on the
+    signature's record; it is the exponent class of the digits, both on the
+    call that builds the record and on a later one that finds it cached."""
+    params = FieldParams(p, 1, f)
+    for a in oracles.signature_space(p, f):
+        sig = TameSignature(a)
+        want = exponent_class(params, a)
+        tame_chars._derived.cache_clear()
+        assert signature_class(params, sig) == want  # cold: a miss builds it
+        hits = tame_chars._derived.cache_info().hits
+        assert signature_class(params, sig) == want  # warm: the cached record
+        assert tame_chars._derived.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (5, 2)])
 def test_n_values_match_direct_evaluation(p, f):
     params = FieldParams(p, 1, f)
