@@ -794,20 +794,23 @@ def _pair_checks(spec: GridSpec) -> Iterator[str]:
             yield "xi_congruence"
     # Every subset J of the shift vectors, in Gray-code order: each step
     # adds or removes one v_i in place, so the walk holds O(f) values.
+    # J and J_min are int masks, bit i for v_i.
     shifted = list(reduced_exponents(params, chi2))
-    subset = set()
+    j_min = subset = 0
+    for i in profile.j_min:
+        j_min |= 1 << i
     for k in range(1 << f):
         if k:
-            i = (k & -k).bit_length() - 1  # the bit that flips at step k
-            if i in subset:
-                subset.remove(i)
-                shifted[i] += 1
-                shifted[(i + 1) % f] -= p
-            else:
-                subset.add(i)
+            bit = k & -k  # the bit that flips at step k
+            i = bit.bit_length() - 1
+            subset ^= bit
+            if subset & bit:
                 shifted[i] -= 1
                 shifted[(i + 1) % f] += p
-        if not profile.j_min <= subset:
+            else:
+                shifted[i] += 1
+                shifted[(i + 1) % f] -= p
+        if j_min & subset != j_min:
             for ri, x in zip(r, shifted):
                 if not (0 <= x < e or ri <= x < ri + e):  # _admissible
                     break

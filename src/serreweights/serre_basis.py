@@ -227,12 +227,13 @@ def j_v_ah_bruteforce(
     p^j m' = xi'_i - d e_M forces p^j m' <= xi'_i with m' >= 1, so j never
     exceeds floor(log_p max(1, xi_i)); everything else is tried verbatim.
     The witnesses (p^j, xi'_i - d e_M, (i - j) mod f) do not depend on
-    alpha = (m, k), so they are listed once per call.  For each m in W' the
-    residues of the witnesses with p^j m' = xi'_i - d e_M are collected, and
-    (m, k) is a label when i_m + k f' is one of them mod f.  That is the
-    same search over W x (i, d, j) as one any() per (m, k), with each
-    witness's arithmetic done once instead of once per (m, k); no equation
-    is solved for m or for a witness.
+    alpha = (m, k), so each is taken once per call: it scans W' in
+    ascending order, scaled by e_M, and stops at the first m' with
+    p^j m' >= xi'_i - d e_M.  W' strictly increases and p^j >= 1, so no
+    later m' can match; an m' that matches gains the witness's residue.
+    (m, k) is a label when i_m + k f' is one of the residues of m mod f.
+    That is the same search over W x (i, d, j) as one any() per (m, k), in
+    another order; no equation is solved for m or for a witness.
     """
     e_m = _route_e_m(params, chi, e_m, profile)
     p, f = params.p, params.f
@@ -240,27 +241,29 @@ def j_v_ah_bruteforce(
     scale = q1 // e_m
     derived = _derived(params, chi.signature)
     f_prime, f_dprime = derived.niveau
-    xi_scaled = [xi * e_m // q1 for xi in profile.xi]
-    j_bounds = []
-    for xi in profile.xi:
-        b, power = 0, p  # power = p^(b + 1)
-        while power <= xi:
-            b += 1
-            power *= p
-        j_bounds.append(b)
-    witnesses = [
-        (p**j, xi_scaled[i] - d * e_m, (i - j) % f)
-        for i in range(f)
-        for d in profile.intervals[i]
-        for j in range(j_bounds[i] + 1)
-    ]
+    # Sorted here, so the scan's stop does not rest on the record's order.
+    # scale divides every m in W' (validate_e_m), so m' * scale is m again.
+    scaled = [m // scale for m in sorted(_w_prime(params, chi.signature))]
+    residues: Dict[int, set] = {}  # m' -> the residues of its witnesses
+    for i, (xi, interval) in enumerate(zip(profile.xi, profile.intervals)):
+        xi_scaled, top = xi * e_m // q1, max(1, xi)
+        for d in interval:
+            value = xi_scaled - d * e_m
+            pj, j = 1, 0
+            while pj <= top:
+                for m_scaled in scaled:
+                    if pj * m_scaled >= value:
+                        if pj * m_scaled == value:
+                            residues.setdefault(m_scaled, set()).add((i - j) % f)
+                        break
+                pj *= p
+                j += 1
     labels = set()
-    for m in w_prime(params, chi):
+    for m_scaled, found in residues.items():
+        m = m_scaled * scale
         im = derived.index_of[m % q1]  # W' is walked from these residues
-        m_scaled = m // scale
-        residues = {res for pj, value, res in witnesses if pj * m_scaled == value}
         for k in range(f_dprime):
-            if (im + k * f_prime) % f in residues:
+            if (im + k * f_prime) % f in found:
                 labels.add(tuple.__new__(BasisLabel, (_ALPHA, m, k)))
     return frozenset(labels)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -153,9 +153,9 @@ def exponent_class(params: FieldParams, exps: Tuple[int, ...]) -> int:
     if len(exps) != f:
         raise InvalidInput(f"exponent tuple length {len(exps)} != f = {f}")
     total = 0
-    for c in exps[1:]:  # Horner: c_1 p^(f-1) + ... + c_{f-1} p
-        total = (total + c) * p
-    return (total + exps[0]) % (p**f - 1)
+    for c in exps:  # Horner: c_0 p^(f-1) + ... + c_{f-1}
+        total = total * p + c
+    return total * p % (p**f - 1)  # times p, with p^f = 1: c_0 moves to p^0
 
 
 def signature_class(params: FieldParams, sig: TameSignature) -> int:
@@ -221,15 +221,19 @@ class _Derived:
     distinct and each is taken by exactly f'' of the n_i, so its readers
     trust both facts.  ``w_prime`` is the index set W' (``_w_prime``): None
     until the first call that reads it, which builds it and stores it here.
+    ``reduced`` is the class's reduced exponent tuple: its f base-p digits
+    (``_slot_digits``), which ``weight_lattice.reduced_exponents`` and the
+    shift profile read instead of deriving them again at every point.
     ``alphas`` is the sorted tuple of alpha labels (m, k) over W'
-    (``serre_basis.basis_labels``), kept the same way.
+    (``serre_basis.basis_labels``), kept the same way as W'.
     """
 
-    __slots__ = ("n", "cls", "niveau", "index_of", "w_prime", "alphas")
+    __slots__ = ("n", "cls", "reduced", "niveau", "index_of", "w_prime", "alphas")
 
-    def __init__(self, n, cls, niveau, index_of) -> None:
+    def __init__(self, n, cls, reduced, niveau, index_of) -> None:
         self.n: Tuple[int, ...] = n
         self.cls: int = cls
+        self.reduced: Tuple[int, ...] = reduced
         self.niveau: Tuple[int, int] = niveau
         self.index_of: Dict[int, int] = index_of
         self.w_prime: Optional[Tuple[int, ...]] = None
@@ -242,11 +246,11 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
     checks the record's facts before it is kept.
 
     The cache is keyed by the two records, tuples that hash in C.  It holds
-    128 records, each of O(f) ints (n-values, class, niveau, index table),
-    plus e*f' ints for one whose W' was asked for and e*f alpha labels for
-    one whose basis was.  At 64 the
-    p = 5, f = 3 cell of the verify grid, whose 124 signature classes recur
-    once per chi2 class, evicted most records before their next use.
+    128 records, each of O(f) ints (n-values, class, reduced exponents,
+    niveau, index table), plus e*f' ints for one whose W' was asked for and
+    e*f alpha labels for one whose basis was.  At 64 the p = 5, f = 3 cell
+    of the verify grid, whose 124 signature classes recur once per chi2
+    class, evicted most records before their next use.
     """
     p, f, a = params.p, params.f, sig.a
     _check_digits(p, f, a)
@@ -263,7 +267,10 @@ def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
         raise InternalInvariantViolation(
             f"the residues of the n_i of {a} are not each taken f'' = {f_dprime} times"
         )
-    return _Derived(n, n[0] % q1, (f_prime, f_dprime), index_of)
+    cls = n[0] % q1
+    return _Derived(
+        n, cls, tuple(_slot_digits(p, f, cls)), (f_prime, f_dprime), index_of
+    )
 
 
 def _twisted_sums(p: int, f: int, a) -> List[int]:
@@ -314,17 +321,25 @@ class UnramifiedPart(NamedTuple):
 
 
 def _validate_unram(params: FieldParams, unram: UnramifiedPart) -> None:
-    r, d = unram.order_field_degree, unram.dlog
+    """Check 1 <= r and 0 <= dlog <= p^r - 2.  Since p >= 2^k with
+    k = bitlen(p) - 1, a dlog of fewer than k r bits is below p^r - 1, so
+    p^r, a number of r log2(p) bits, is built only for a longer dlog."""
+    p, (r, d) = params.p, unram
     if r < 1:
         raise InvariantError(f"unramified-part field degree must be >= 1, got {r}")
-    if not 0 <= d < params.p**r - 1:
+    if d < 0 or (d.bit_length() >= (p.bit_length() - 1) * r and d >= p**r - 1):
         raise InvariantError(f"dlog must lie in [0, p^r - 2], got {d} for degree {r}")
 
 
 def _scaled_dlog(p: int, unram: UnramifiedPart, degree: int) -> int:
-    """Discrete log of the same value in the degree-L generator, for r | L."""
-    r = unram.order_field_degree
-    return (unram.dlog * ((p**degree - 1) // (p**r - 1))) % (p**degree - 1)
+    """Discrete log of the same checked value in the degree-L generator, for
+    r | L: dlog (p^L - 1)/(p^r - 1) mod p^L - 1.  At r = L the multiplier is
+    1, and a dlog of 0 stays 0; neither builds p^L."""
+    r, d = unram
+    if r == degree or d == 0:
+        return d  # in [0, p^r - 2], so already reduced
+    big = p**degree - 1
+    return d * (big // (p**r - 1)) % big
 
 
 def _normalize_unram(p: int, degree: int, dlog: int) -> UnramifiedPart:
@@ -332,17 +347,23 @@ def _normalize_unram(p: int, degree: int, dlog: int) -> UnramifiedPart:
 
     That field's degree is the multiplicative order of p modulo the value's
     order, which divides L because the value lies in F_{p^L}; so only the
-    divisors of L are tried, each by one modular power.
+    divisors of L are tried, in ascending order, each by one modular power.
+    L itself needs no test, and a divisor d needs none when d bitlen(p) is
+    below the order's bit length: then 0 < p^d - 1 < order.
     """
     big = p**degree - 1
     dlog %= big
     if dlog == 0:
         return UnramifiedPart(1, 0)
     order = big // gcd(big, dlog)
+    width, bits = order.bit_length(), p.bit_length()
+    small = [d for d in range(1, isqrt(degree) + 1) if degree % d == 0]
+    proper = small + [degree // d for d in reversed(small[1:]) if d * d != degree]
     r = next(
-        d for d in range(1, degree + 1)
-        if degree % d == 0 and pow(p, d, order) == 1
+        (d for d in proper if d * bits >= width and pow(p, d, order) == 1), degree
     )
+    if r == degree:
+        return UnramifiedPart(degree, dlog)
     return UnramifiedPart(r, dlog // (big // (p**r - 1)))
 
 

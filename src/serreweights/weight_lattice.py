@@ -36,7 +36,7 @@ from .tame_chars import (
     CharacterData,
     FieldParams,
     TameSignature,
-    _slot_digits,
+    _derived,
     _twisted_sums,
     character,
     exponent_class,
@@ -127,11 +127,11 @@ def twist_normalize(
 def reduced_exponents(params: FieldParams, chi2: CharacterData) -> Tuple[int, ...]:
     """Inertial exponents of chi2 reduced to [0, p-1]^f, not all p-1.
 
-    This is the unique such tuple in the class of chi2's signature; it is
-    the m-tuple that the shift machinery starts from.
+    This is the unique such tuple in the class of chi2's signature, the
+    base-p digits of the class; it is the m-tuple that the shift machinery
+    starts from, kept on the signature's record.
     """
-    cls = signature_class(params, chi2.signature)  # in [0, p^f - 2]
-    return tuple(_slot_digits(params.p, params.f, cls))
+    return _derived(params, chi2.signature).reduced
 
 
 def shift_vector(params: FieldParams, i: int) -> Tuple[int, ...]:
@@ -286,28 +286,34 @@ def _ts_profile(
     sig1: TameSignature,
     sig2: TameSignature,
 ) -> WeightProfile:
-    """``ts_profile`` keyed by what it reads; a raise is not cached."""
+    """``ts_profile`` keyed by what it reads; a raise is not cached.
+
+    One pass over the slots builds t, s, the intervals and J_min from the
+    least shift mask, whose bit i - 1 adds p to slot i and bit i takes 1.
+    """
     _validate_r(params, weight_r)
     p, e, f = params.p, params.e, params.f
-    cls2 = signature_class(params, sig2)
-    m = _slot_digits(p, f, cls2)  # chi2's reduced exponents, in range by construction
+    derived2 = _derived(params, sig2)
+    m = derived2.reduced  # chi2's reduced exponents, in range by construction
     least = _least_shift(params, weight_r, m)
-    j_min = frozenset(i for i in range(f) if least >> i & 1)
-    t = tuple(
-        c - (least >> i & 1) + p * (least >> (i - 1) % f & 1) for i, c in enumerate(m)
-    )
-    s = tuple(ri + e - 1 - ti for ri, ti in zip(weight_r, t))
-    for i, (ri, ti, si) in enumerate(zip(weight_r, t, s)):
+    t, s, intervals, j_min = [], [], [], []
+    carry = least >> (f - 1) & 1  # bit i - 1 of the mask, mod f
+    for i, (c, ri) in enumerate(zip(m, weight_r)):
+        bit = least >> i & 1
+        ti = c - bit + p * carry
+        si = ri + e - 1 - ti
         if not (_admissible(e, ri, ti) and _admissible(e, ri, si)):
             raise InternalInvariantViolation(
                 f"t_{i}={ti}, s_{i}={si} escape [0,e-1] union [r,r+e-1] for r={ri}"
             )
-    intervals = []
-    for ri, ti, si in zip(weight_r, t, s):
-        if ti >= ri:
-            intervals.append(tuple(range(si)))
-        else:
-            intervals.append((ti,) + tuple(range(ri, si)))
+        t.append(ti)
+        s.append(si)
+        intervals.append(
+            tuple(range(si)) if ti >= ri else (ti,) + tuple(range(ri, si))
+        )
+        if bit:
+            j_min.append(i)
+        carry = bit
     q1 = params.tame_order
     # xi_i is (p^f - 1) s_i plus the i-th twisted digit sum of s - t.  The
     # sums satisfy n_{i+1} = p n_i mod p^f - 1, as chi's n-values do, so
@@ -315,8 +321,10 @@ def _ts_profile(
     # xi_i is congruent to chi's n_i.
     tails = _twisted_sums(p, f, [si - ti for si, ti in zip(s, t)])
     xi = [q1 * si + tail for si, tail in zip(s, tails)]
-    if tails[0] % q1 != (signature_class(params, sig1) - cls2) % q1:
+    if tails[0] % q1 != (signature_class(params, sig1) - derived2.cls) % q1:
         raise ChiMismatch(
             "chi1/chi2 is not the character cut out by the shift profile"
         )
-    return WeightProfile(weight_r, t, s, tuple(intervals), tuple(xi), j_min)
+    return WeightProfile(
+        weight_r, tuple(t), tuple(s), tuple(intervals), tuple(xi), frozenset(j_min)
+    )

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, schema, and determinism."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -445,24 +446,46 @@ CLI_ONLY_MODULES = ("multiprocessing", "argparse", "csv", "json")
 UNUSED_MODULES = ("dataclasses", "inspect")
 
 
-# What ``import serreweights`` adds to a bare interpreter besides its own
-# modules; a new entry here is import time that every cold query pays.
-IMPORT_ADDS = ["__future__", "_decimal", "decimal", "fractions", "numbers"]
+# The standard-library modules that the package's modules import at their
+# top level.  What these load on their own differs between interpreter
+# versions; any other module that ``import serreweights`` adds is import
+# time that every cold query pays.
+IMPORT_ALLOWED = (
+    "__future__", "bisect", "collections", "fractions", "functools", "io",
+    "itertools", "math", "operator", "os", "sys", "typing",
+)
 
 
 def test_import_loads_no_multiprocessing():
     """Nor any other module that only the command line uses, nor one that
-    no module of the package uses; and exactly ``IMPORT_ADDS`` besides the
-    package's own modules."""
+    no module of the package uses; and no top-level module beyond
+    ``IMPORT_ALLOWED`` and what those load.  The probe runs under -S, so no
+    ``site`` hook (a .pth file) loads modules ahead of it."""
     done = run_python(
-        ["-c", "import sys; before = set(sys.modules); import serreweights; "
+        ["-S", "-c", "import sys; "
+               f"[__import__(m) for m in {IMPORT_ALLOWED!r}]; "
+               "before = {m.split('.')[0] for m in sys.modules}; "
+               "import serreweights; "
                "print([m for m in "
                f"{CLI_ONLY_MODULES + UNUSED_MODULES!r} if m in sys.modules]); "
-               "print(sorted(m for m in set(sys.modules) - before "
-               "if m.split('.')[0] != 'serreweights'))"]
+               "print(sorted({m.split('.')[0] for m in sys.modules} - before "
+               "- {'serreweights'}))"]
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", repr(IMPORT_ADDS)]
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_import_allowlist_is_what_the_package_imports():
+    """``IMPORT_ALLOWED`` names exactly the standard-library modules that the
+    package's modules import at their top level, so it grows with them."""
+    imported = set()
+    for path in Path(serreweights.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - {"serreweights"} == set(IMPORT_ALLOWED)
 
 
 def test_dims_at_large_p_enumerates_the_progressions():

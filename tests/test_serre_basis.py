@@ -1,7 +1,7 @@
 """Basis labels, the window set W', and the label subset J_V^AH."""
 
 import re
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -182,9 +182,18 @@ def _instances(p, e, f):
             yield params, r, chi1, chi2
 
 
-@pytest.mark.parametrize("p,e,f", [(2, 1, 2), (2, 2, 1), (3, 1, 2), (3, 2, 1)])
+# The last three cells have a larger W', more powers p^j below xi_i and
+# e_M with proper divisors.  Every second instance of the two largest is
+# taken, which keeps the three near 0.5 s.
+_WITNESS_STRIDE = {(5, 2, 2): 2, (3, 2, 3): 2}
+
+
+@pytest.mark.parametrize(
+    "p,e,f", [(2, 1, 2), (2, 2, 1), (3, 1, 2), (3, 2, 1), (5, 4, 1), (5, 2, 2), (3, 2, 3)]
+)
 def test_j_v_ah_agrees_with_bruteforce_and_witness_search(p, e, f):
-    for params, r, chi1, chi2 in _instances(p, e, f):
+    stride = _WITNESS_STRIDE.get((p, e, f), 1)
+    for params, r, chi1, chi2 in islice(_instances(p, e, f), 0, None, stride):
         quot, prof = _quotient_and_profile(params, r, chi1, chi2)
         for e_m in _valid_e_ms(params, quot):
             got = j_v_ah(params, prof, quot, e_m)

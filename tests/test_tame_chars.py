@@ -18,6 +18,7 @@ from serreweights import (
     is_unramified,
     n_values,
     niveau,
+    reduced_exponents,
     signature_class,
     validate_signature,
 )
@@ -171,6 +172,56 @@ def test_unramified_part_validation():
     assert UnramifiedPart(1, 0).order(3) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_validate_unram_accepts_exactly_the_dlogs_below_p_r_minus_1(p):
+    """The bit-length shortcut accepts a dlog of fewer than k r bits,
+    k = bitlen(p) - 1, without building p^r; the bound itself is p^r - 2,
+    also at p = 2 where p is a power of 2.  Tried at both ends of the
+    range and on each side of 2^(k r - 1) and 2^(k r)."""
+    params = FieldParams(p, 1, 1)
+    k = p.bit_length() - 1
+    for r in range(1, 40):
+        edges = [-1, 0, 1, p**r - 3, p**r - 2, p**r - 1, p**r]
+        edges += [2**b + delta for b in (k * r - 1, k * r) for delta in (-1, 0, 1)]
+        for dlog in edges:
+            if 0 <= dlog <= p**r - 2:
+                tame_chars._validate_unram(params, UnramifiedPart(r, dlog))
+            else:
+                with pytest.raises(InvariantError, match=r"^dlog must lie in "):
+                    tame_chars._validate_unram(params, UnramifiedPart(r, dlog))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scaled_dlog_is_its_definition(p):
+    """The dlog of g_r^d in the degree-L generator, r | L: the multiplier
+    is (p^L - 1)/(p^r - 1), and the product is reduced mod p^L - 1."""
+    for degree in range(1, 7):
+        big = p**degree - 1
+        for r in (r for r in range(1, degree + 1) if degree % r == 0):
+            for dlog in range(min(p**r - 1, 200)):
+                want = dlog * (big // (p**r - 1)) % big
+                got = tame_chars._scaled_dlog(p, UnramifiedPart(r, dlog), degree)
+                assert got == want, (degree, r, dlog)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_normalize_unram_is_its_definition(p):
+    """g_L^dlog lies in F_{p^r} exactly when dlog (p^r - 1) = 0 mod p^L - 1;
+    the least such r | L is the part's degree, and scaling its dlog back
+    to degree L gives dlog mod p^L - 1 again."""
+    for degree in range(1, 7):
+        big = p**degree - 1
+        for dlog in range(-big, 2 * big + 1, max(1, big // 150)):
+            got = tame_chars._normalize_unram(p, degree, dlog)
+            want_r = next(
+                r for r in range(1, degree + 1)
+                if degree % r == 0 and dlog * (p**r - 1) % big == 0
+            )
+            assert got.order_field_degree == want_r, (degree, dlog)
+            assert 0 <= got.dlog <= p**want_r - 2
+            assert tame_chars._scaled_dlog(p, got, degree) == dlog % big
+
+
 def test_cyclotomic_declaration_consistency():
     # sig (1,1) is the inertial cyclotomic signature at p=3, e=1, f=2
     character(P3F2, (1, 1), cyclotomic=True)
@@ -268,6 +319,31 @@ def test_signature_class_kept_on_the_record_is_the_exponent_class(p, f):
         hits = tame_chars._derived.cache_info().hits
         assert signature_class(params, sig) == want  # warm: the cached record
         assert tame_chars._derived.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5) for f in (1, 2, 3)] + [(7, 2)])
+def test_reduced_exponents_kept_on_the_record_are_the_class_digits(p, f, monkeypatch):
+    """``reduced_exponents`` reads the digits that ``_derived`` keeps on the
+    signature's record: m_i is the base-p digit of the class at p^((f-i)
+    mod f), so exponent_class(m) is the class again.  They are built once,
+    by the miss; a call that finds the record cached derives none."""
+    params = FieldParams(p, 1, f)
+    calls = []
+    slot_digits = tame_chars._slot_digits
+    monkeypatch.setattr(
+        tame_chars, "_slot_digits", lambda *args: calls.append(args) or slot_digits(*args)
+    )
+    for a in oracles.signature_space(p, f):
+        chi = character(params, a)
+        assert chi.signature == TameSignature(a)
+        cls = exponent_class(params, a)
+        want = tuple(cls // p ** ((f - i) % f) % p for i in range(f))
+        assert exponent_class(params, want) == cls
+        tame_chars._derived.cache_clear()
+        assert reduced_exponents(params, chi) == want  # cold: a miss builds it
+        del calls[:]
+        assert reduced_exponents(params, chi) == want  # warm: the cached record
+        assert calls == []
 
 
 @pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (5, 2)])
