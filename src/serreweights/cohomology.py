@@ -7,8 +7,10 @@ only at s = 0 (trivial character), at the top boundary s = 1 + ep/(p-1)
 (cyclotomic character), and at the rational levels s = 1 + m/(p^f - 1) with
 0 < m < ep(p^f - 1)/(p - 1), p not dividing m, and m congruent to one of
 the twisted digit sums n_i modulo p^f - 1: the set W' kept on the
-signature's record.  There the dimension is f'' = f/f'.  Each level is a
-``fractions.Fraction`` built once, from its integer numerator m.
+signature's record.  There the dimension is f'' = f/f'.  Every level is
+an integer numerator over p^f - 1 (``_jump_levels``); ``jump_profile``
+builds one ``fractions.Fraction`` per level from it, and ``verify``'s
+character suite reads the integers.
 """
 
 from __future__ import annotations
@@ -75,22 +77,35 @@ def graded_dimension(params: FieldParams, chi: CharacterData, s: Level) -> int:
     return derived.niveau[1] if m.numerator % q1 in derived.index_of else 0
 
 
-def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
-    """Enumerate every jump and check the total against ``h1_dimension``.
+def _jump_levels(
+    params: FieldParams, chi: CharacterData
+) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """Every jump as (numerator, dimension), the level being the integer
+    numerator over p^f - 1, ascending, with the dimensions' total.
 
-    The interior jumps are W', each of dimension f'', which ``_derived``
-    checked when it built chi's signature record.
+    The levels are 0 when chi is trivial, 1 + m/(p^f - 1) for m in W'
+    (each of dimension f'', which ``_derived`` checked when it built chi's
+    signature record), and the top 1 + ep/(p-1) = 1 + e*p*R/(p^f - 1) when
+    chi is cyclotomic.  No ``Fraction`` is built here.
     """
     q1 = params.tame_order
     f_dprime = _derived(params, chi.signature).niveau[1]
-    entries = []
-    if chi.declared_trivial:
-        entries.append((Fraction(0), 1))
-    for m in _w_prime(params, chi.signature):
-        entries.append((Fraction(m + q1, q1), f_dprime))
+    entries = [(0, 1)] if chi.declared_trivial else []
+    entries += [(m + q1, f_dprime) for m in _w_prime(params, chi.signature)]
     if chi.declared_cyclotomic:
-        entries.append((_top_level(params), 1))
-    profile = JumpProfile(tuple(entries), sum(d for _, d in entries))
+        entries.append((q1 + params.window_top, 1))
+    return tuple(entries), sum(d for _, d in entries)
+
+
+def jump_profile(params: FieldParams, chi: CharacterData) -> JumpProfile:
+    """Enumerate every jump and check the total against ``h1_dimension``.
+
+    The levels are the ``Fraction``s of ``_jump_levels``' numerators over
+    p^f - 1.
+    """
+    q1 = params.tame_order
+    levels, total = _jump_levels(params, chi)
+    profile = JumpProfile(tuple((Fraction(n, q1), d) for n, d in levels), total)
     expected = h1_dimension(params, chi)
     if profile.total != expected:
         raise InternalInvariantViolation(

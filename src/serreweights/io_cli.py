@@ -36,7 +36,7 @@ from typing import (
     TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 )
 
-from .cohomology import h1_dimension, jump_profile, window_cardinality
+from .cohomology import _jump_levels, h1_dimension, jump_profile, window_cardinality
 from .errors import (
     InternalInvariantViolation,
     InvalidInput,
@@ -751,14 +751,15 @@ def _verify_character_cell(cell: Tuple[int, int, int]) -> List[Tuple[str, str]]:
 
 
 def _character_checks(params: FieldParams, chi: CharacterData) -> Iterator[str]:
+    """The jump levels are read as integer numerators over p^f - 1."""
     e, f = params.e, params.f
-    profile = jump_profile(params, chi)
+    levels, total = _jump_levels(params, chi)
     h1 = h1_dimension(params, chi)
-    if profile.total != h1:
+    if total != h1:
         yield "dimension_sum"
     f_prime, f_dprime = niveau(params, chi.signature)
-    interior_end = len(profile.entries) - chi.declared_cyclotomic
-    if any(d != f_dprime for _, d in profile.entries[chi.declared_trivial:interior_end]):
+    interior_end = len(levels) - chi.declared_cyclotomic
+    if any(d != f_dprime for _, d in levels[chi.declared_trivial:interior_end]):
         yield "jump_size"
     if any(window_cardinality(params, chi, j) != f for j in range(e)):
         yield "window_count"
@@ -1042,11 +1043,16 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for name, value in vars(args).items():
-            if value == []:  # argparse drops an explicit "--" value: --r=--
-                flag = "--" + name.replace("_", "-")
+        # An explicit "--" value (--r=--) is rejected before parsing:
+        # argparse up to 3.12 drops it and leaves [], while 3.13 passes
+        # "--" on to the flag's type, so neither would name the flag alike.
+        for token in argv:
+            if token == "--":  # what follows is not a flag
+                break
+            flag, sep, value = token.partition("=")
+            if sep and value == "--" and flag.startswith("--"):
                 parser.error(f"argument {flag}: expected one argument")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

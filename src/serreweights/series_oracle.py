@@ -65,7 +65,7 @@ from .serre_basis import (
     i_m_index,
     w_prime,
 )
-from .tame_chars import CharacterData, FieldParams, niveau
+from .tame_chars import CharacterData, FieldParams, _derived
 from .weight_lattice import WeightProfile
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,8 @@ def rederive_jvah(
     F_p(a), of degree ``order_field_degree``, with a the generator raised to
     the part's dlog, as the record defines it.
     """
-    e_m = _route_e_m(params, chi, e_m, profile)
+    derived = _derived(params, chi.signature)
+    e_m = _route_e_m(params, chi, derived, e_m, profile)
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m
@@ -312,7 +313,7 @@ def rederive_jvah(
         raise InternalInvariantViolation("unramified value has the wrong order")
     alg = TensorAlgebra(fq, n_components)
     xi_scaled = tuple(xi * e_m // q1 for xi in profile.xi)
-    f_prime, f_dprime = niveau(params, chi.signature)
+    f_prime, f_dprime = derived.niveau
     spanning = []
     for i in range(f):
         lam_inv = lambda_tuple(alg, f, i, a_val, inverse=True)

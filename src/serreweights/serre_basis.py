@@ -30,13 +30,13 @@ from .errors import (
 from .tame_chars import (
     CharacterData,
     FieldParams,
+    _Derived,
     _derived,
     _w_prime,
     char_quotient,
     exponent_class,
     is_unramified,
     n_values,
-    signature_class,
 )
 from .weight_lattice import SerreWeight, WeightProfile, ts_profile, twist_normalize
 
@@ -146,13 +146,16 @@ def validate_e_m(params: FieldParams, chi: CharacterData, e_m: int) -> None:
 
 
 def _route_e_m(
-    params: FieldParams, chi: CharacterData, e_m: Optional[int],
-    profile: Optional[WeightProfile] = None,
+    params: FieldParams, chi: CharacterData, derived: _Derived,
+    e_m: Optional[int], profile: Optional[WeightProfile] = None,
 ) -> int:
     """The entry check of the label routes: the e_M they run at (p^f - 1
     when not given), checked by ``validate_e_m``, with the profile's s - t,
-    when given, in chi's class.  At e_M = p^f - 1 the cofactor is 1, which
-    divides every n_i, so ``validate_e_m`` would pass and is not run."""
+    when given, in chi's class.  ``derived`` is chi's signature record,
+    which each route fetches once and reads the class from.  At
+    e_M = p^f - 1 the cofactor is 1, which divides every n_i, so
+    ``validate_e_m`` would pass and is not run; the class test runs on
+    every call that gives a profile."""
     q1 = params.tame_order
     if e_m is None:
         e_m = q1
@@ -160,7 +163,7 @@ def _route_e_m(
         validate_e_m(params, chi, e_m)
     if profile is not None:
         diff = tuple(map(sub, profile.s, profile.t))
-        if exponent_class(params, diff) != signature_class(params, chi.signature):
+        if exponent_class(params, diff) != derived.cls:
             raise InvalidInput("profile and character disagree on the quotient class")
     return e_m
 
@@ -177,10 +180,10 @@ def j_v_ah(
     divisibility checks the computation proceeds at full scale; the answer
     is the same for every valid e_M.
     """
-    e_m = _route_e_m(params, chi, e_m, profile)
+    derived = _derived(params, chi.signature)
+    e_m = _route_e_m(params, chi, derived, e_m, profile)
     p, f = params.p, params.f
     q1, top = p**f - 1, params.window_top
-    derived = _derived(params, chi.signature)
     f_prime, f_dprime = derived.niveau
     found: Dict[BasisLabel, Tuple[int, int]] = {}
     for i in range(f):
@@ -224,40 +227,45 @@ def j_v_ah_bruteforce(
 ) -> FrozenSet[BasisLabel]:
     """Literal witness search over all of W and all (i, d, j) in range.
 
-    p^j m' = xi'_i - d e_M forces p^j m' <= xi'_i with m' >= 1, so j never
-    exceeds floor(log_p max(1, xi_i)); everything else is tried verbatim.
-    The witnesses (p^j, xi'_i - d e_M, (i - j) mod f) do not depend on
-    alpha = (m, k), so each is taken once per call: it scans W' in
-    ascending order, scaled by e_M, and stops at the first m' with
-    p^j m' >= xi'_i - d e_M.  W' strictly increases and p^j >= 1, so no
-    later m' can match; an m' that matches gains the witness's residue.
-    (m, k) is a label when i_m + k f' is one of the residues of m mod f.
-    That is the same search over W x (i, d, j) as one any() per (m, k), in
-    another order; no equation is solved for m or for a witness.
+    A witness of alpha = (m, k) is (i, d in I_i, j) with
+    p^j m' = xi'_i - d e_M and i_m + k f' = i - j mod f.  The values
+    xi'_i - d e_M do not depend on alpha, so they are indexed by value once
+    per call, each with the i it came from.  Each m' in W', scaled by e_M,
+    then walks p^j m' for j = 0, 1, ... up to the largest value, and every
+    value it hits gains m' the residue (i - j) mod f of its i.  (m, k) is
+    a label when i_m + k f' is one of the residues of m.  A hit has
+    p^j <= p^j m' = xi'_i - d e_M <= xi_i, since m' >= 1, d >= 0 and
+    e_M <= p^f - 1, so every hit is a witness with p^j <= max(1, xi_i):
+    the same (m', i, d, j) matches as the search over that witness list
+    finds, in another order.  No equation is solved and nothing divided.
     """
-    e_m = _route_e_m(params, chi, e_m, profile)
+    derived = _derived(params, chi.signature)
+    e_m = _route_e_m(params, chi, derived, e_m, profile)
     p, f = params.p, params.f
     q1 = p**f - 1
     scale = q1 // e_m
-    derived = _derived(params, chi.signature)
     f_prime, f_dprime = derived.niveau
-    # Sorted here, so the scan's stop does not rest on the record's order.
-    # scale divides every m in W' (validate_e_m), so m' * scale is m again.
-    scaled = [m // scale for m in sorted(_w_prime(params, chi.signature))]
-    residues: Dict[int, set] = {}  # m' -> the residues of its witnesses
+    at_value: Dict[int, list] = {}  # xi'_i - d e_M -> the i it came from
     for i, (xi, interval) in enumerate(zip(profile.xi, profile.intervals)):
-        xi_scaled, top = xi * e_m // q1, max(1, xi)
+        xi_scaled = xi * e_m // q1
         for d in interval:
             value = xi_scaled - d * e_m
-            pj, j = 1, 0
-            while pj <= top:
-                for m_scaled in scaled:
-                    if pj * m_scaled >= value:
-                        if pj * m_scaled == value:
-                            residues.setdefault(m_scaled, set()).add((i - j) % f)
-                        break
-                pj *= p
-                j += 1
+            if value > 0:  # p^j m' >= 1
+                at_value.setdefault(value, []).append(i)
+    top = max(at_value, default=0)
+    residues: Dict[int, set] = {}  # m' -> the residues of its witnesses
+    # scale divides every m in W' (validate_e_m), so m' * scale is m again.
+    for m in _w_prime(params, chi.signature):
+        m_scaled = m // scale
+        pj_m, j = m_scaled, 0
+        while pj_m <= top:
+            hits = at_value.get(pj_m)
+            if hits is not None:
+                found = residues.setdefault(m_scaled, set())
+                for i in hits:
+                    found.add((i - j) % f)
+            pj_m *= p
+            j += 1
     labels = set()
     for m_scaled, found in residues.items():
         m = m_scaled * scale
@@ -320,7 +328,7 @@ def l_v_ah(
     the unramified class when the quotient is trivial.
     """
     r, c1, c2, chi = _normalized(params, weight, chi1, chi2, chi_cyclotomic)
-    e_m_used = _route_e_m(params, chi, e_m)
+    e_m_used = _route_e_m(params, chi, _derived(params, chi.signature), e_m)
     exceptional = (
         chi.declared_cyclotomic
         and is_unramified(params, c2)

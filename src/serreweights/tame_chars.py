@@ -240,17 +240,30 @@ class _Derived:
         self.alphas: Optional[tuple] = None
 
 
-@lru_cache(maxsize=128)
+# The bound of the ``_derived`` memo.  ``verify`` reads each signature
+# record of its grid in three phases: the character suite, the pair walk
+# and the twist and oracle jobs.  The benchmark verify grid (p <= 5,
+# e <= 3, f <= 3) has sum (p^f - 1) = 597 (FieldParams, signature) keys,
+# so 640 keeps every record across the phases and across calls; at 128
+# each phase rebuilt the records the one before had evicted (~1 690
+# misses per call).  Each record is O(f) ints plus its W' and alphas once
+# read: the 597 records that call leaves take 719 KB (tracemalloc), the
+# 128 kept at a bound of 128 took 87 KB.
+_DERIVED_MEMO = 640
+
+
+@lru_cache(maxsize=_DERIVED_MEMO)
 def _derived(params: FieldParams, sig: TameSignature) -> _Derived:
     """The record of a valid signature; a miss validates it first, and
     checks the record's facts before it is kept.
 
     The cache is keyed by the two records, tuples that hash in C.  It holds
-    128 records, each of O(f) ints (n-values, class, reduced exponents,
-    niveau, index table), plus e*f' ints for one whose W' was asked for and
-    e*f alpha labels for one whose basis was.  At 64 the p = 5, f = 3 cell
-    of the verify grid, whose 124 signature classes recur once per chi2
-    class, evicted most records before their next use.
+    ``_DERIVED_MEMO`` records, each of O(f) ints (n-values, class, reduced
+    exponents, niveau, index table), plus e*f' ints for one whose W' was
+    asked for and e*f alpha labels for one whose basis was.  A record is
+    built and checked once while it stays in the memo, so its readers (the
+    character suite, the routes, the shift profile) neither rebuild nor
+    re-check it.
     """
     p, f, a = params.p, params.f, sig.a
     _check_digits(p, f, a)

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
 
@@ -331,6 +332,32 @@ def test_w_prime_is_walked_once_and_read_by_every_index_reader(capsys, monkeypat
     serreweights.jump_profile(params, chi)
     serreweights.window_cardinality(params, chi, 999)
     assert len(read) > 1000 and all(w is walked for w in read)
+
+
+def test_verify_keeps_each_signature_record_across_its_phases(capsys, monkeypatch):
+    """On a cleared ``_derived``, one verify call misses once per
+    (FieldParams, signature) key it touches, however many of its phases
+    read the record, and a second identical call misses none."""
+    real = tame_chars._derived
+    touched = set()
+
+    def spy(params, sig):
+        touched.add((params, sig))
+        return real(params, sig)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("serreweights") and getattr(module, "_derived", None) is real:
+            monkeypatch.setattr(module, "_derived", spy)
+    argv = ["verify", "--p-max", "3", "--e-max", "2", "--f-max", "2",
+            "--with-oracle", "--jobs", "1"]
+    real.cache_clear()
+    assert run_json(capsys, argv)[0] == 0
+    first = real.cache_info()
+    # Every signature class of every cell: sum (p^f - 1) over (p, e, f).
+    assert len(touched) == first.misses == 2 * (1 + 3) + 2 * (2 + 8)
+    assert run_json(capsys, argv)[0] == 0
+    assert real.cache_info().misses == first.misses
+    assert real.cache_info().hits > first.hits
 
 
 # The deepest spanning monomial sits at degree -p, so the truncation is p
@@ -831,7 +858,9 @@ def test_flag_text_never_escapes(argv):
     ("--jobs", ["verify", "--jobs=--"]),
 ], ids=["dims", "lv", "verify"])
 def test_double_dash_flag_value_exits_2(capsys, flag, argv):
-    """argparse drops an explicit "--" value and leaves an empty list."""
+    """An explicit "--" value is rejected before parsing, with the same
+    message on every Python version: argparse up to 3.12 drops it and
+    leaves an empty list, 3.13 hands it to the flag's type."""
     assert run_command(argv) == 2
     assert f"argument {flag}: expected one argument\n" in capsys.readouterr().err
 
@@ -1123,22 +1152,20 @@ def test_verify_reports_mutations(capsys, monkeypatch):
 def test_verify_reports_jump_profile_mutations(
     capsys, monkeypatch, total_in_step, failing
 ):
-    """``jump_profile`` raises on the conditions of dimension_sum and
-    jump_size, so only a seam shows that verify reports them: one interior
-    jump a dimension too large, with the total raised to match or not."""
-    real = io_cli.jump_profile
+    """verify's character suite reads the jumps from ``_jump_levels``, whose
+    levels and total ``jump_profile`` also checks, so only a seam shows that
+    verify reports dimension_sum and jump_size: one interior jump a
+    dimension too large, with the total raised to match or not."""
+    real = io_cli._jump_levels
 
     def corrupted(params, chi):
-        profile = real(params, chi)
-        entries = list(profile.entries)
-        k = next(k for k, (s, _) in enumerate(entries) if s > 0)  # interior
-        entries[k] = (entries[k][0], entries[k][1] + 1)
-        # _replace skips JumpProfile's constructor checks
-        return profile._replace(
-            entries=tuple(entries), total=profile.total + total_in_step
-        )
+        levels, total = real(params, chi)
+        levels = list(levels)
+        k = next(k for k, (n, _) in enumerate(levels) if n > 0)  # interior
+        levels[k] = (levels[k][0], levels[k][1] + 1)
+        return tuple(levels), total + total_in_step
 
-    monkeypatch.setattr(io_cli, "jump_profile", corrupted)
+    monkeypatch.setattr(io_cli, "_jump_levels", corrupted)
     code, doc = run_json(
         capsys, ["verify", "--p-max", "3", "--e-max", "1", "--f-max", "2"]
     )
@@ -1147,6 +1174,29 @@ def test_verify_reports_jump_profile_mutations(
     assert {name for name, prop in by_name.items() if prop["failures"]} == failing
     for name in failing:
         assert by_name[name]["first_counterexample"]
+
+
+def test_character_suite_builds_no_fraction(monkeypatch):
+    """``_character_checks`` reads every jump level as an integer numerator
+    over p^f - 1: with ``Fraction`` counted where the suite and
+    ``cohomology`` name it, a pass over every character of some cells,
+    trivial and cyclotomic ones among them, builds none, while one
+    ``jump_profile`` call does."""
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    for module in (io_cli, serreweights.cohomology):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    for cell in ((2, 2, 2), (3, 2, 2), (5, 1, 3)):
+        assert io_cli._verify_character_cell(cell) == []
+    assert built == []
+    params = FieldParams(3, 2, 1)
+    serreweights.jump_profile(params, character(params, (2,), cyclotomic=True))
+    assert built
 
 
 def _window_off_by_one(real):
@@ -1548,7 +1598,10 @@ VERIFY_GRID_SHA256 = "6963d61459afba843672e7e3cf177cecfde206e2da922d0387a2286665
 
 
 # The memos in front of the record builders, and the package's other caches.
-MEMOS = (tame_chars._character, tame_chars._char_quotient, weight_lattice._ts_profile)
+MEMOS = (
+    tame_chars._character, tame_chars._char_quotient, weight_lattice._ts_profile,
+    weight_lattice._least_shift,
+)
 OTHER_CACHES = (tame_chars._derived, tame_chars._signature_at_offset)
 
 

@@ -83,9 +83,12 @@ def cyclotomic_sig(params):
 @pytest.mark.parametrize(
     "p,e,f",
     [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 1, 2),
-     (3, 2, 1), (3, 2, 2), (5, 1, 2), (5, 2, 1)],
+     (3, 2, 1), (3, 2, 2), (5, 1, 2), (5, 2, 1), (5, 1, 1), (2, 1, 3),
+     (3, 1, 3), (5, 1, 3)],
 )
 def test_jump_profile_matches_direct_enumeration(p, e, f):
+    """Every character of p <= 5, f <= 3: the Fractions that ``jump_profile``
+    builds from its integer levels equal the direct scan's."""
     params = FieldParams(p, e, f)
     for a in oracles.signature_space(p, f):
         sig = canonical_signature(params, a).a

@@ -182,20 +182,27 @@ def _instances(p, e, f):
             yield params, r, chi1, chi2
 
 
-# The last three cells have a larger W', more powers p^j below xi_i and
-# e_M with proper divisors.  Every second instance of the two largest is
-# taken, which keeps the three near 0.5 s.
-_WITNESS_STRIDE = {(5, 2, 2): 2, (3, 2, 3): 2}
+# The last four cells have a larger W', more powers p^j below xi_i and
+# e_M with proper divisors.  Every second instance of (5, 2, 2) and
+# (3, 2, 3) is taken, and every 251st of (5, 3, 3), where q1 = 124 admits
+# e_M = 62, 31, 4, 2 and 1 beside the default; the sample must reach each.
+_WITNESS_STRIDE = {(5, 2, 2): 2, (3, 2, 3): 2, (5, 3, 3): 251}
+_WITNESS_E_MS = {(5, 3, 3): {124, 62, 31, 4, 2, 1}}
 
 
-@pytest.mark.parametrize(
-    "p,e,f", [(2, 1, 2), (2, 2, 1), (3, 1, 2), (3, 2, 1), (5, 4, 1), (5, 2, 2), (3, 2, 3)]
-)
+@pytest.mark.parametrize("p,e,f", [
+    (2, 1, 2), (2, 2, 1), (3, 1, 2), (3, 2, 1), (5, 4, 1), (5, 2, 2), (3, 2, 3),
+    (5, 3, 3),
+])
 def test_j_v_ah_agrees_with_bruteforce_and_witness_search(p, e, f):
+    """Both routes equal the literal witness search over exact rationals at
+    every valid e_M; the brute force indexes its witness values by value."""
     stride = _WITNESS_STRIDE.get((p, e, f), 1)
+    seen = set()
     for params, r, chi1, chi2 in islice(_instances(p, e, f), 0, None, stride):
         quot, prof = _quotient_and_profile(params, r, chi1, chi2)
         for e_m in _valid_e_ms(params, quot):
+            seen.add(e_m)
             got = j_v_ah(params, prof, quot, e_m)
             assert got == j_v_ah_bruteforce(params, prof, quot, e_m)
             want = oracles.jvah_witness_search(
@@ -204,6 +211,7 @@ def test_j_v_ah_agrees_with_bruteforce_and_witness_search(p, e, f):
             assert {(l.m, l.k) for l in got} == want
             assert len(got) <= prof.interval_total()
             assert got <= set(basis_labels(params, quot))
+    assert _WITNESS_E_MS.get((p, e, f), set()) <= seen
 
 
 def test_j_v_ah_independent_of_e_m():
