@@ -296,7 +296,7 @@ def rederive_jvah(
     the part's dlog, as the record defines it.
     """
     derived = _derived(params, chi.signature)
-    e_m = _route_e_m(params, chi, derived, e_m, profile)
+    e_m = _route_e_m(params, derived, e_m, profile)
     p, f = params.p, params.f
     q1 = params.tame_order
     scale = q1 // e_m

@@ -132,13 +132,18 @@ def i_m_index(params: FieldParams, chi: CharacterData, m: int) -> int:
 
 def validate_e_m(params: FieldParams, chi: CharacterData, e_m: int) -> None:
     """e_M must divide p^f - 1 with (p^f - 1)/e_M dividing every n_i."""
+    _check_e_m(params, n_values(params, chi.signature), e_m)
+
+
+def _check_e_m(params: FieldParams, n: Tuple[int, ...], e_m: int) -> None:
+    """``validate_e_m`` against the n-values ``n`` of chi's record."""
     q1 = params.tame_order
     if e_m < 1 or q1 % e_m:
         raise InvalidEM(f"e_M = {e_m} does not divide p^f - 1 = {q1}")
     if e_m == q1:
         return  # cofactor 1 divides every n_i
     cofactor = q1 // e_m
-    for ni in n_values(params, chi.signature):
+    for ni in n:
         if ni % cofactor:
             raise InvalidEM(
                 f"(p^f - 1)/e_M = {cofactor} does not divide n_i = {ni}"
@@ -146,21 +151,21 @@ def validate_e_m(params: FieldParams, chi: CharacterData, e_m: int) -> None:
 
 
 def _route_e_m(
-    params: FieldParams, chi: CharacterData, derived: _Derived,
-    e_m: Optional[int], profile: Optional[WeightProfile] = None,
+    params: FieldParams, derived: _Derived, e_m: Optional[int],
+    profile: Optional[WeightProfile] = None,
 ) -> int:
     """The entry check of the label routes: the e_M they run at (p^f - 1
-    when not given), checked by ``validate_e_m``, with the profile's s - t,
-    when given, in chi's class.  ``derived`` is chi's signature record,
-    which each route fetches once and reads the class from.  At
-    e_M = p^f - 1 the cofactor is 1, which divides every n_i, so
-    ``validate_e_m`` would pass and is not run; the class test runs on
-    every call that gives a profile."""
+    when not given), checked as ``validate_e_m`` checks it, with the
+    profile's s - t, when given, in chi's class.  ``derived`` is chi's
+    signature record, which each route fetches once; both checks read it.
+    At e_M = p^f - 1 the cofactor is 1, which divides every n_i, so the
+    e_M check would pass and is not run; the class test runs on every call
+    that gives a profile."""
     q1 = params.tame_order
     if e_m is None:
         e_m = q1
     elif e_m != q1:
-        validate_e_m(params, chi, e_m)
+        _check_e_m(params, derived.n, e_m)
     if profile is not None:
         diff = tuple(map(sub, profile.s, profile.t))
         if exponent_class(params, diff) != derived.cls:
@@ -181,7 +186,7 @@ def j_v_ah(
     is the same for every valid e_M.
     """
     derived = _derived(params, chi.signature)
-    e_m = _route_e_m(params, chi, derived, e_m, profile)
+    e_m = _route_e_m(params, derived, e_m, profile)
     p, f = params.p, params.f
     q1, top = p**f - 1, params.window_top
     f_prime, f_dprime = derived.niveau
@@ -240,7 +245,7 @@ def j_v_ah_bruteforce(
     finds, in another order.  No equation is solved and nothing divided.
     """
     derived = _derived(params, chi.signature)
-    e_m = _route_e_m(params, chi, derived, e_m, profile)
+    e_m = _route_e_m(params, derived, e_m, profile)
     p, f = params.p, params.f
     q1 = p**f - 1
     scale = q1 // e_m
@@ -328,7 +333,7 @@ def l_v_ah(
     the unramified class when the quotient is trivial.
     """
     r, c1, c2, chi = _normalized(params, weight, chi1, chi2, chi_cyclotomic)
-    e_m_used = _route_e_m(params, chi, _derived(params, chi.signature), e_m)
+    e_m_used = _route_e_m(params, _derived(params, chi.signature), e_m)
     exceptional = (
         chi.declared_cyclotomic
         and is_unramified(params, c2)
