@@ -1017,6 +1017,11 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call.  A flag set that several commands take
+    (the character flags, the pair flags) is built once, as a parent
+    parser whose actions those commands' subparsers share; `verify` and
+    `sweep` add their own flags.  The parser is not cached,
+    so no parse state can carry from one call to the next."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -1024,6 +1029,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Explicit basis labels and distinguished subspaces for "
         "tame two-dimensional mod-p extensions, with a series oracle.",
     )
+    shared = {}
+    for add_flags in (_add_char_flags, _add_pair_flags):
+        shared[add_flags] = argparse.ArgumentParser(add_help=False)
+        add_flags(shared[add_flags])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, add_flags, help_text in (
         ("dims", cmd_dims, _add_char_flags, "jump filtration dimensions"),
@@ -1034,8 +1043,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, _add_verify_flags, "run the property suite on a grid"),
         ("sweep", cmd_sweep, _add_sweep_flags, "CSV sweep over a parameter grid"),
     ):
-        command = sub.add_parser(name, help=help_text)
-        add_flags(command)
+        if add_flags in shared:
+            command = sub.add_parser(name, help=help_text, parents=[shared[add_flags]])
+        else:
+            command = sub.add_parser(name, help=help_text)
+            add_flags(command)
         command.set_defaults(func=func)
     return parser
 

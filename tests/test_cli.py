@@ -723,6 +723,130 @@ def test_pair_commands_take_the_same_flags():
     assert "--problem" in options[0]
 
 
+def _reference_parser():
+    """The parser built without parents: every subcommand adds its own
+    flags, so it shares no action with another."""
+    parser = argparse.ArgumentParser(
+        prog="serreweights",
+        description="Explicit basis labels and distinguished subspaces for "
+        "tame two-dimensional mod-p extensions, with a series oracle.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, add_flags, help_text in (
+        ("dims", io_cli.cmd_dims, io_cli._add_char_flags, "jump filtration dimensions"),
+        ("basis", io_cli.cmd_basis, io_cli._add_char_flags, "index sets and basis labels"),
+        ("profile", io_cli.cmd_profile, io_cli._add_pair_flags, "shift profile (t, s, I, xi)"),
+        ("lv", io_cli.cmd_lv, io_cli._add_pair_flags, "distinguished subspace labels"),
+        ("oracle", io_cli.cmd_oracle, io_cli._add_pair_flags, "residue-pairing re-derivation"),
+        ("verify", io_cli.cmd_verify, io_cli._add_verify_flags, "run the property suite on a grid"),
+        ("sweep", io_cli.cmd_sweep, io_cli._add_sweep_flags, "CSV sweep over a parameter grid"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        add_flags(command)
+        command.set_defaults(func=func)
+    return parser
+
+
+def _helps(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [parser.format_help()] + [
+        f"{name}\n{command.format_help()}" for name, command in sub.choices.items()
+    ]
+
+
+def test_parser_help_matches_the_reference(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = _helps(io_cli.build_parser())
+    assert len(helps) == 8
+    assert helps == _helps(_reference_parser())
+
+
+VALID_ARGVS = [
+    ["dims", "--p", "3", "--e", "1", "--f", "2", "--chi-exps", "2,1"],
+    ["basis", "--p=5", "--e=2", "--f=1", "--chi-exps=3", "--chi-unram", "2:1",
+     "--chi-trivial", "--chi-cyclotomic", "--format", "text", "--out", "x.json"],
+    ["profile", *PAIR_P3E2],
+    ["lv", *PAIR_P3E2, "--e-m", "2", "--chi2-unramified", "--chi-cyclotomic"],
+    ["oracle", "--p", "2", "--e", "1", "--f", "3", "--eta=1,0,1", "--theta=0,0,1",
+     "--chi1-exps=2,1,2", "--chi1-unram=2:1", "--chi2-exps=1,2,1",
+     "--chi2-unram=1:0"],
+    ["lv", "--problem", "-", "--format", "text"],
+    ["verify"],
+    ["verify", "--p-max", "5", "--e-max", "3", "--f-max", "3", "--with-oracle",
+     "--jobs", "2", "--max-instances", "100", "--format", "text", "--out", "v.json"],
+    ["sweep", "--p-max=2", "--out", "s.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=[" ".join(a[:2]) for a in VALID_ARGVS])
+def test_parsed_arguments_match_the_reference(argv):
+    assert vars(io_cli.build_parser().parse_args(argv)) == vars(
+        _reference_parser().parse_args(argv)
+    )
+
+
+BAD_ARGVS = [
+    ["not-a-command"],
+    ["dims", *_flags((3, 1, 1)), "--chi-exps", "1", "--nope"],
+    ["dims", "--e", "1", "--f", "1", "--chi-exps", "1"],
+    ["dims", "--p", "x", "--e", "1", "--f", "1"],
+    ["lv", *PAIR_P3E2, "--r=--"],
+    ["-h"],
+    ["lv", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=[" ".join(a[:2]) for a in BAD_ARGVS])
+def test_parse_failures_match_the_reference(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr of a parse failure or a help request."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for build in (io_cli.build_parser, _reference_parser):
+        monkeypatch.setattr(io_cli, "build_parser", build)
+        code = run_command(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0][0] in (0, 2)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_shared_flag_sets_are_built_once_per_parser(monkeypatch):
+    calls = []
+    for name in ("_add_char_flags", "_add_pair_flags"):
+        def counted(parser, real=getattr(io_cli, name), name=name):
+            calls.append(name)
+            real(parser)
+        monkeypatch.setattr(io_cli, name, counted)
+    io_cli.build_parser()
+    assert sorted(calls) == ["_add_char_flags", "_add_pair_flags"]
+
+
+LV_P5 = ["lv", *_flags((5, 1, 1)), "--r", "2", "--chi1-exps", "2", "--chi2-exps", "0"]
+ORACLE_P3E2 = ["oracle", *PAIR_P3E2]
+
+
+@pytest.mark.parametrize("first, second", [
+    (LV_P5 + ["--e-m", "2"], LV_P5),
+    (ORACLE_P3E2 + ["--chi1-unram", "2:1"], ORACLE_P3E2),
+    (["dims", "--chi-trivial", *_flags((3, 1, 1)), "--chi-exps", "2"],
+     ["basis", *_flags((3, 1, 1)), "--chi-exps", "1"]),
+], ids=["lv-e_m", "oracle-chi1-unram", "dims-chi-trivial"])
+def test_no_parse_state_carries_to_the_next_call(capsys, first, second):
+    """The pair commands share their flag actions, as dims and basis do; a
+    flag given to one call leaves the next call's report as it is alone."""
+    assert run_command(second) == 0
+    alone = capsys.readouterr()
+    assert run_command(first) == 0
+    capsys.readouterr()
+    assert run_command(second) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_each_pair_command_reports_its_own_name(capsys):
+    for command in ("profile", "lv", "oracle", "profile"):
+        code, doc = run_json(capsys, [command, *PAIR_P3E2])
+        assert (code, doc["command"]) == (0, command)
+
+
 @pytest.mark.parametrize("command", ["profile", "lv", "oracle"])
 @pytest.mark.parametrize("flag", ["--p", "--e", "--f"])
 def test_missing_field_flag_exits_2(capsys, command, flag):
