@@ -1021,17 +1021,37 @@ def build_parser() -> argparse.ArgumentParser:
     (the character flags, the pair flags) is built once, as a parent
     parser whose actions those commands' subparsers share; `verify` and
     `sweep` add their own flags.  The parser is not cached,
-    so no parse state can carry from one call to the next."""
-    import argparse
+    so no parse state can carry from one call to the next.
 
+    argparse makes a throwaway formatter for every flag added, and its
+    default formatter reads the terminal size each time (48 reads per
+    build).  So the width is read once per build, and every parser of the
+    build formats at it: the same width argparse's default computes, so
+    help, usage and error text are unchanged, and a later build reads the
+    terminal again.
+
+    Caching the parser, or building only the named subparser, would cut
+    more, but waits on the benchmark harness (ROADMAP item 2): it keeps
+    every report (~0.76 KB a call), so the named-subparser step's ~3.2x
+    the calls raised `query_stream`'s peak RSS by 46%, past its 10% bound."""
+    import argparse
+    import functools
+    import shutil
+
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="serreweights",
         description="Explicit basis labels and distinguished subspaces for "
         "tame two-dimensional mod-p extensions, with a series oracle.",
+        formatter_class=formatter,
     )
     shared = {}
     for add_flags in (_add_char_flags, _add_pair_flags):
-        shared[add_flags] = argparse.ArgumentParser(add_help=False)
+        shared[add_flags] = argparse.ArgumentParser(
+            add_help=False, formatter_class=formatter
+        )
         add_flags(shared[add_flags])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, add_flags, help_text in (
@@ -1044,9 +1064,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, _add_sweep_flags, "CSV sweep over a parameter grid"),
     ):
         if add_flags in shared:
-            command = sub.add_parser(name, help=help_text, parents=[shared[add_flags]])
+            command = sub.add_parser(
+                name, help=help_text, formatter_class=formatter,
+                parents=[shared[add_flags]],
+            )
         else:
-            command = sub.add_parser(name, help=help_text)
+            command = sub.add_parser(name, help=help_text, formatter_class=formatter)
             add_flags(command)
         command.set_defaults(func=func)
     return parser

@@ -754,11 +754,52 @@ def _helps(parser):
     ]
 
 
-def test_parser_help_matches_the_reference(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+# Terminal widths the help must wrap at alike; None leaves COLUMNS unset,
+# so both parsers take the non-terminal fallback.
+WIDTHS = ["40", "80", "200", None]
+
+
+def _set_columns(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+
+@pytest.mark.parametrize("columns", WIDTHS, ids=str)
+def test_parser_help_matches_the_reference(monkeypatch, columns):
+    _set_columns(monkeypatch, columns)
     helps = _helps(io_cli.build_parser())
     assert len(helps) == 8
     assert helps == _helps(_reference_parser())
+
+
+def test_one_build_reads_the_terminal_size_once(monkeypatch):
+    """argparse makes a formatter per flag added; the build pins them all
+    to one width, so the terminal is read once, not once per flag."""
+    import shutil
+
+    reads = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    io_cli.build_parser()
+    assert len(reads) == 1
+
+
+def test_a_new_build_formats_at_the_new_width(monkeypatch):
+    """The width is read per build, never kept from an earlier one."""
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = _helps(io_cli.build_parser())
+    assert wide == _helps(_reference_parser())
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _helps(io_cli.build_parser())
+    assert narrow == _helps(_reference_parser())
+    assert narrow != wide
 
 
 VALID_ARGVS = [
@@ -796,10 +837,11 @@ BAD_ARGVS = [
 ]
 
 
+@pytest.mark.parametrize("columns", WIDTHS, ids=str)
 @pytest.mark.parametrize("argv", BAD_ARGVS, ids=[" ".join(a[:2]) for a in BAD_ARGVS])
-def test_parse_failures_match_the_reference(capsys, monkeypatch, argv):
+def test_parse_failures_match_the_reference(capsys, monkeypatch, argv, columns):
     """Exit code, stdout and stderr of a parse failure or a help request."""
-    monkeypatch.setenv("COLUMNS", "80")
+    _set_columns(monkeypatch, columns)
     outcomes = []
     for build in (io_cli.build_parser, _reference_parser):
         monkeypatch.setattr(io_cli, "build_parser", build)

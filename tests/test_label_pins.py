@@ -15,7 +15,9 @@ The points whose quotient has the cyclotomic inertial signature, declared
 cyclotomic, are pinned the same way, one SHA-256 per cell.  Those pins were
 computed from the definitions (``reference_answer``: the brute-force route
 and the reference W' of ``oracles``), not from ``l_v_ah``; the test checks
-both ``l_v_ah`` and the reference against them.
+both ``l_v_ah`` and the reference against them.  The same pins, with their
+point and exceptional counts, cover cells past that grid where (p - 1) | e:
+(5, 4, f <= 3), (5, 8, f <= 2) and (7, 6, f <= 3).
 """
 
 import hashlib
@@ -242,3 +244,31 @@ def test_cyclotomic_quotients_on_the_grid_are_pinned(answer):
         points += n
         exceptional += n_exceptional
     assert (points, exceptional) == (363, 27)
+
+
+# Cells where p - 1 divides e, so that the cyclotomic character's
+# inertial class (e, ..., e) is trivial mod p - 1: (digest, points,
+# exceptional points), computed from ``reference_answer``.
+RAMIFIED_CYCLOTOMIC_PINS = {
+    (5, 4, 1): ("7554a73af66ed7e78424d03695c1ccb1362e5dbddb0b176507b23af2c8b5384c", 6, 1),
+    (5, 4, 2): ("432a53fa0ef6bd171642d6cefa907eea5283f88aea228b91abf0fa5dcec622bc", 22, 1),
+    (5, 4, 3): ("0ed570aebd26cbe26bd807e1fe2a321f74f01d9f92ddf4b124edb4b47d849dcd", 96, 1),
+    (5, 8, 1): ("56137c82f17dc870109ae230b606ab0e7057376e7a397977e9205011561416aa", 6, 1),
+    (5, 8, 2): ("c582efb4f71ab55f59fea20f60b919fedd900f5c717fb2df41ffa051b5da4317", 26, 1),
+    (7, 6, 1): ("26ecd02935c62ae42109bc4786245cdecf91d1531158f8c6ab63617c6a77f520", 8, 1),
+    (7, 6, 2): ("26c92415d54db89cc9b092a5059e79209165489d88072b72c1d4bb3fbc64feaa", 44, 1),
+    (7, 6, 3): ("53523c573697e2fa3619ca1e8332fbd6c673b6da93e7731b1578ebe0478c56e0", 281, 1),
+}
+
+
+@pytest.mark.parametrize("answer", [declared_answer, reference_answer],
+                         ids=["l_v_ah", "reference"])
+@pytest.mark.parametrize("cell", [
+    pytest.param(cell, marks=pytest.mark.slow) if cell == (7, 6, 3) else cell
+    for cell in RAMIFIED_CYCLOTOMIC_PINS
+], ids=lambda c: "p%d-e%d-f%d" % c)
+def test_cyclotomic_quotients_on_ramified_cells_are_pinned(cell, answer):
+    """Where (p - 1) | e, one point per cell takes the exceptional branch
+    (chi2 unramified on inertia, every r_i = p).  (7, 6, 3) takes ~0.3 s
+    per route, so it is under ``slow``."""
+    assert cyclotomic_digest(cell, answer) == RAMIFIED_CYCLOTOMIC_PINS[cell]
