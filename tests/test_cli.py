@@ -754,9 +754,17 @@ def _helps(parser):
     ]
 
 
-# Terminal widths the help must wrap at alike; None leaves COLUMNS unset,
-# so both parsers take the non-terminal fallback.
-WIDTHS = ["40", "80", "200", None]
+def test_parser_help_matches_the_reference(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = _helps(io_cli.build_parser())
+    assert len(helps) == 8
+    assert helps == _helps(_reference_parser())
+
+
+# Further terminal widths the help must wrap at alike (80 is the case
+# above); None leaves COLUMNS unset, so both parsers take the
+# non-terminal fallback.
+OTHER_WIDTHS = ["40", "200", None]
 
 
 def _set_columns(monkeypatch, columns):
@@ -766,8 +774,8 @@ def _set_columns(monkeypatch, columns):
         monkeypatch.setenv("COLUMNS", columns)
 
 
-@pytest.mark.parametrize("columns", WIDTHS, ids=str)
-def test_parser_help_matches_the_reference(monkeypatch, columns):
+@pytest.mark.parametrize("columns", OTHER_WIDTHS, ids=str)
+def test_parser_help_matches_the_reference_at_width(monkeypatch, columns):
     _set_columns(monkeypatch, columns)
     helps = _helps(io_cli.build_parser())
     assert len(helps) == 8
@@ -837,16 +845,33 @@ BAD_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize("columns", WIDTHS, ids=str)
-@pytest.mark.parametrize("argv", BAD_ARGVS, ids=[" ".join(a[:2]) for a in BAD_ARGVS])
-def test_parse_failures_match_the_reference(capsys, monkeypatch, argv, columns):
-    """Exit code, stdout and stderr of a parse failure or a help request."""
-    _set_columns(monkeypatch, columns)
+def _parse_outcomes(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr under io_cli's parser, then the reference's."""
     outcomes = []
     for build in (io_cli.build_parser, _reference_parser):
         monkeypatch.setattr(io_cli, "build_parser", build)
         code = run_command(argv)
         outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+BAD_IDS = [" ".join(a[:2]) for a in BAD_ARGVS]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=BAD_IDS)
+def test_parse_failures_match_the_reference(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr of a parse failure or a help request."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = _parse_outcomes(capsys, monkeypatch, argv)
+    assert outcomes[0][0] in (0, 2)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("columns", OTHER_WIDTHS, ids=str)
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=BAD_IDS)
+def test_parse_failures_match_the_reference_at_width(capsys, monkeypatch, argv, columns):
+    _set_columns(monkeypatch, columns)
+    outcomes = _parse_outcomes(capsys, monkeypatch, argv)
     assert outcomes[0][0] in (0, 2)
     assert outcomes[0] == outcomes[1]
 
